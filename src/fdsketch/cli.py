@@ -12,19 +12,25 @@ import json
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import io as fio
 from .counterexamples import (
     SparseFdInstance,
     compare_on_adversary,
     gen_adversary,
     orthogonal_residual_min,
-    sparse_fd_check,
     sparse_feasibility_grid,
 )
 from .heavy_hitters import MgSummary, error_certificate
 from .sketch import FdSketch, error_report, sketch_rows_for
+
+
+# ErrorReport fields in verify's "report", after "rows"; each keeps its name
+_VERIFY_REPORT_FIELDS = (
+    "ell", "buffer_rows", "frob_a_sq", "frob_q_sq", "frob_qk_sq", "delta_sum",
+    "max_dir_gap", "min_dir_gap", "frob_identity_residual", "proj_err_ratio",
+    "rank_k_residual_sq", "rank_k_mass_sq", "qk_norm_bounds",
+    "topk_window_applicable",
+)
 
 
 def _emit(payload: dict, compact: bool) -> None:
@@ -32,6 +38,14 @@ def _emit(payload: dict, compact: bool) -> None:
         print(json.dumps(payload, separators=(",", ":")))
     else:
         print(json.dumps(payload, indent=2))
+
+
+def _sketch_payload(command: str, out: str, sk: FdSketch, geometry: Sequence[str]) -> dict:
+    """The report of a command that writes a sketch file."""
+    payload = {"command": command, "out": out}
+    payload.update((name, getattr(sk, name)) for name in geometry)
+    payload.update(rows=sk.rows_seen, delta_sum=sk.delta_sum, input_frob_sq=sk.input_frob_sq)
+    return payload
 
 
 def _cmd_sketch(args) -> int:
@@ -51,21 +65,8 @@ def _cmd_sketch(args) -> int:
         for row in it:
             sk.append(row)
     fio.save_sketch(args.out, sk)
-    _emit(
-        {
-            "command": "sketch",
-            "out": args.out,
-            "k": sk.k,
-            "eps": sk.eps,
-            "ell": sk.ell,
-            "buffer_rows": sk.buffer_rows,
-            "d": sk.d,
-            "rows": sk.rows_seen,
-            "delta_sum": sk.delta_sum,
-            "input_frob_sq": sk.input_frob_sq,
-        },
-        args.json,
-    )
+    geometry = ("k", "eps", "ell", "buffer_rows", "d")
+    _emit(_sketch_payload("sketch", args.out, sk, geometry), args.json)
     return 0
 
 
@@ -74,20 +75,7 @@ def _cmd_merge(args) -> int:
     right = fio.load_sketch(args.in2)
     merged = left.merge(right)
     fio.save_sketch(args.out, merged)
-    _emit(
-        {
-            "command": "merge",
-            "out": args.out,
-            "k": merged.k,
-            "eps": merged.eps,
-            "ell": merged.ell,
-            "d": merged.d,
-            "rows": merged.rows_seen,
-            "delta_sum": merged.delta_sum,
-            "input_frob_sq": merged.input_frob_sq,
-        },
-        args.json,
-    )
+    _emit(_sketch_payload("merge", args.out, merged, ("k", "eps", "ell", "d")), args.json)
     return 0
 
 
@@ -103,29 +91,14 @@ def _cmd_verify(args) -> int:
             file=sys.stderr,
         )
     report = error_report(rows, sk)
-    bounds = report.bounds()
+    summary = {"rows": report.rows_seen}
+    summary.update((name, getattr(report, name)) for name in _VERIFY_REPORT_FIELDS)
     _emit(
         {
             "command": "verify",
-            "bounds": bounds,
+            "bounds": report.bounds(),
             "all_pass": report.all_ok,
-            "report": {
-                "rows": report.rows_seen,
-                "ell": report.ell,
-                "buffer_rows": report.buffer_rows,
-                "frob_a_sq": report.frob_a_sq,
-                "frob_q_sq": report.frob_q_sq,
-                "frob_qk_sq": report.frob_qk_sq,
-                "delta_sum": report.delta_sum,
-                "max_dir_gap": report.max_dir_gap,
-                "min_dir_gap": report.min_dir_gap,
-                "frob_identity_residual": report.frob_identity_residual,
-                "proj_err_ratio": report.proj_err_ratio,
-                "rank_k_residual_sq": report.rank_k_residual_sq,
-                "rank_k_mass_sq": report.rank_k_mass_sq,
-                "qk_norm_bounds": list(report.qk_norm_bounds),
-                "topk_window_applicable": report.topk_window_applicable,
-            },
+            "report": summary,
         },
         args.json,
     )
@@ -197,22 +170,6 @@ def _cmd_no_sparse_fd(args) -> int:
     inst = SparseFdInstance(ell=args.ell, d=d)
     grid = sparse_feasibility_grid(args.ell, args.c, step=args.step)
     resid, argmin = orthogonal_residual_min(inst.matrix)
-
-    # spot-check the grid's algebraic reduction against direct evaluation
-    rng = np.random.default_rng(args.seed)
-    mismatches = 0
-    spot = 200
-    for _ in range(spot):
-        alphas = rng.uniform(-2.0, 2.0, size=args.ell - 1).round(2)
-        rep = sparse_fd_check(inst, alphas, args.c)
-        s = float(alphas.sum())
-        algebra = (
-            s >= args.c * args.ell - 2.0 - 1e-9
-            and s <= -0.0 + 1e-9
-            and bool(np.all(alphas <= 2.0 + 1e-9))
-        )
-        if algebra != rep.jointly_satisfied:
-            mismatches += 1
     _emit(
         {
             "command": "no-sparse-fd",
@@ -229,7 +186,6 @@ def _cmd_no_sparse_fd(args) -> int:
             },
             "residual_min": resid,
             "residual_argmin": argmin,
-            "spot_checks": {"count": spot, "mismatches": mismatches, "seed": args.seed},
         },
         args.json,
     )
@@ -292,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--step", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_no_sparse_fd)
 

@@ -10,15 +10,23 @@ Sketch record
     Magic ``FDSK``, version u16, then k, ell, m, d, rows_seen as u64 LE,
     then eps, delta_sum, input_frob_sq as f64 LE, then the m*d row-major
     float64 buffer. Loading reproduces the stored values bit for bit.
+
+    The buffer holds its nonzero rows first and at least one zero row. At
+    any m, m == ell included, they may hold rows not yet shrunk (a sketch
+    saved before its buffer first filled holds its rows as streamed), so a
+    loaded sketch counts them all as pending. Loading rejects non-finite
+    values, eps <= 0, ell != sketch_rows_for(k, eps), a negative delta_sum
+    or input_frob_sq, and a buffer that breaks that row layout.
 """
 from __future__ import annotations
 
 import struct
+import sys
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .sketch import FdParams, FdSketch, _KahanSum
+from .sketch import FdParams, FdSketch, sketch_rows_for
 
 ROWS_MAGIC = b"FDRW"
 SKETCH_MAGIC = b"FDSK"
@@ -77,18 +85,24 @@ def _iter_rows_binary(path: str) -> Iterator[np.ndarray]:
         magic, d = _ROWS_HEADER.unpack(header)
         if magic != ROWS_MAGIC:
             raise RowStreamError(path, 0, "bad magic, not a binary row stream")
-        if d < 1:
-            raise RowStreamError(path, 0, f"bad dimension {d}")
         row_bytes = 8 * d
+        if d < 1 or row_bytes > sys.maxsize:
+            raise RowStreamError(path, 0, f"bad dimension {d}")
         row_no = 0
         while True:
-            chunk = fh.read(row_bytes)
-            if not chunk:
+            # read a row in pieces of at most 1 MiB, so that a bogus d in the
+            # header never makes read() ask for more than the stream holds
+            parts = []
+            left = row_bytes
+            while left and (part := fh.read(min(left, 1 << 20))):
+                parts.append(part)
+                left -= len(part)
+            if not parts:
                 break
             row_no += 1
-            if len(chunk) != row_bytes:
+            if left:
                 raise RowStreamError(path, row_no, "truncated row")
-            row = np.frombuffer(chunk, dtype="<f8").astype(np.float64)
+            row = np.frombuffer(b"".join(parts), dtype="<f8").astype(np.float64)
             if not np.isfinite(row).all():
                 raise RowStreamError(path, row_no, "non-finite value")
             yield row
@@ -181,23 +195,18 @@ def load_sketch(path: str) -> FdSketch:
     if not (1 <= k < ell <= m and d >= 1):
         raise SketchFormatError(f"{path}: inconsistent geometry in header")
     buf = np.frombuffer(body, dtype="<f8").astype(np.float64).reshape(m, d)
-
-    sk = FdSketch.__new__(FdSketch)
-    sk.params = FdParams(
-        k=int(k), eps=float(eps), d=int(d), batch_factor=m / ell,
-        ell=int(ell), buffer_rows=int(m),
-    )
-    sk._buf = buf
-    nz = 0
-    while nz < m and buf[nz].any():
-        nz += 1
-    sk._nonzero = nz
-    # a batched buffer may have been saved mid-fill; force a flush before the
-    # next query so reads only ever see spectrally sorted rows
-    sk._pending = nz if m > ell else 0
-    sk._rows_seen = int(rows_seen)
-    sk._frob_acc = _KahanSum(frob)
-    sk._delta_acc = _KahanSum(delta)
-    sk._bracket_rows = int(m)
-    sk.compress_hook = None
-    return sk
+    if not (np.isfinite([eps, delta, frob]).all() and np.isfinite(buf).all()):
+        raise SketchFormatError(f"{path}: non-finite value in header or buffer")
+    if eps <= 0.0:
+        raise SketchFormatError(f"{path}: eps {eps!r} is not positive")
+    if ell != sketch_rows_for(k, eps):
+        raise SketchFormatError(f"{path}: ell {ell} does not match k={k}, eps={eps!r}")
+    if delta < 0.0 or frob < 0.0:
+        raise SketchFormatError(f"{path}: negative delta_sum or input_frob_sq")
+    nonzero = buf.any(axis=1)
+    nz = int(np.count_nonzero(nonzero))
+    if nz == m or nonzero[nz:].any():
+        raise SketchFormatError(f"{path}: nonzero rows must come first, then a zero row")
+    params = FdParams(k=int(k), eps=float(eps), d=int(d), batch_factor=m / ell,
+                      ell=int(ell), buffer_rows=int(m))
+    return FdSketch._from_state(params, buf, rows_seen, frob, delta)

@@ -10,8 +10,10 @@ ell-th largest squared singular value delta, and the buffer is rewritten as
     s'_j    = sqrt(max(s_j ** 2 - delta, 0))
     Q      <- diag(s') @ V.T
 
-With ``batch_factor == 1`` (``m == ell``) the factorization runs after every
-append, which is the classical per-row variant; larger batch factors trade
+That is the one compression trigger, at every batch factor. With
+``batch_factor == 1`` (``m == ell``) a shrink leaves at most ``ell - 1``
+nonzero rows, so once the buffer has first filled every nonzero row costs one
+factorization: the classical per-row variant. Larger batch factors trade
 memory for fewer factorizations without changing any guarantee.
 
 Writing ``Delta`` for the running sum of shrink values, the sketch promises,
@@ -35,6 +37,7 @@ sketch's rows into the other, at the cost of additional shrinkage.
 """
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass
@@ -136,25 +139,49 @@ class FdSketch:
     k : rank target the error guarantees are stated against.
     eps : relative accuracy; the sketch keeps ``ceil(k + k/eps)`` rows.
     d : row dimension.
-    batch_factor : buffer over-allocation factor (>= 1). 1 reproduces the
-        per-row variant exactly.
+    batch_factor : buffer over-allocation factor (>= 1). 1 gives the per-row
+        variant: once ``ell`` nonzero rows have arrived, every nonzero row
+        triggers one factorization.
     compress_hook : optional callable ``(buffer_before, buffer_after, delta)``
         invoked after every compression; used by instrumented runs to check
         the per-step shrink bound.
+
+    Every nonzero row is stored in the next free buffer slot, and the buffer
+    is compressed as soon as it has no zero row left. Rows stored since the
+    last compression are pending until ``flush`` or ``query``.
     """
 
     def __init__(self, k: int, eps: float, d: int, batch_factor: float = 1.0,
                  compress_hook: Optional[CompressHook] = None):
-        self.params = FdParams.create(k, eps, d, batch_factor)
-        self._buf = np.zeros((self.params.buffer_rows, self.params.d))
-        self._nonzero = 0
-        self._pending = 0
-        self._rows_seen = 0
-        self._frob_acc = _KahanSum()
-        self._delta_acc = _KahanSum()
+        params = FdParams.create(k, eps, d, batch_factor)
+        self._set_state(params, np.zeros((params.buffer_rows, params.d)), 0, 0.0, 0.0,
+                        compress_hook)
+
+    @classmethod
+    def _from_state(cls, params: FdParams, buf: np.ndarray, rows_seen: int,
+                    input_frob_sq: float, delta_sum: float) -> "FdSketch":
+        """Rebuild a sketch from a validated state record, without a hook.
+
+        ``buf`` holds its nonzero rows first and at least one zero row; all
+        of them count as pending, so the first query compresses them.
+        """
+        sk = cls.__new__(cls)
+        sk._set_state(params, buf, rows_seen, input_frob_sq, delta_sum)
+        return sk
+
+    def _set_state(self, params: FdParams, buf: np.ndarray, rows_seen: int,
+                   input_frob_sq: float, delta_sum: float,
+                   compress_hook: Optional[CompressHook] = None) -> None:
+        self.params = params
+        self._buf = buf
+        self._nonzero = int(np.count_nonzero(buf.any(axis=1)))
+        self._pending = self._nonzero
+        self._rows_seen = int(rows_seen)
+        self._frob_acc = _KahanSum(input_frob_sq)
+        self._delta_acc = _KahanSum(delta_sum)
         # widest buffer that ever contributed mass to this sketch; grows on
         # merge and controls how tight the lost-mass accounting can be
-        self._bracket_rows = self.params.buffer_rows
+        self._bracket_rows = params.buffer_rows
         self.compress_hook = compress_hook
 
     # -- bookkeeping views ------------------------------------------------
@@ -208,25 +235,35 @@ class FdSketch:
     # -- core operations --------------------------------------------------
 
     def append(self, row) -> None:
-        """Consume one stream row."""
+        """Consume one stream row.
+
+        A row is rejected with ``ValueError`` before any counter moves when
+        it has the wrong length, a non-finite entry, or a squared norm that
+        overflows float64 on its own or added to ``input_frob_sq``; the
+        sketch is then exactly as before the call. Rows are never rescaled.
+        """
         r = np.asarray(row, dtype=np.float64).reshape(-1)
         if r.size != self.params.d:
             raise ValueError(f"row has {r.size} entries, expected {self.params.d}")
         if not np.isfinite(r).all():
             raise ValueError("row contains non-finite entries")
+        with np.errstate(over="ignore"):
+            norm_sq = float(r @ r)
+        if not math.isfinite(self._frob_acc.value + norm_sq):
+            raise ValueError("row's squared norm overflows the running |A|_F^2")
         self._rows_seen += 1
-        norm_sq = float(r @ r)
         self._frob_acc.add(norm_sq)
-        if norm_sq == 0.0:
-            # contributes nothing; claiming a slot would only break the
-            # "leading rows are nonzero" layout the serializer relies on
-            return
+        if norm_sq != 0.0:
+            # a zero row contributes nothing; claiming a slot would only break
+            # the "leading rows are nonzero" layout the serializer relies on
+            self._insert(r)
+
+    def _insert(self, r: np.ndarray) -> None:
+        """Store a nonzero row in the next slot; compress once none is free."""
         self._buf[self._nonzero] = r
         self._nonzero += 1
         self._pending += 1
-        if self.params.buffer_rows == self.params.ell:
-            self.compress()
-        elif self._nonzero == self.params.buffer_rows:
+        if self._nonzero == self.params.buffer_rows:
             self.compress()
 
     def extend(self, rows: Iterable) -> None:
@@ -275,26 +312,20 @@ class FdSketch:
         return self._buf[: self.params.k].copy()
 
     def copy(self) -> "FdSketch":
-        out = FdSketch.__new__(FdSketch)
-        out.params = self.params
+        out = copy.copy(self)
         out._buf = self._buf.copy()
-        out._nonzero = self._nonzero
-        out._pending = self._pending
-        out._rows_seen = self._rows_seen
-        out._frob_acc = _KahanSum(self._frob_acc.value)
-        out._frob_acc._comp = self._frob_acc._comp
-        out._delta_acc = _KahanSum(self._delta_acc.value)
-        out._delta_acc._comp = self._delta_acc._comp
-        out._bracket_rows = self._bracket_rows
-        out.compress_hook = self.compress_hook
+        # copied with their compensation terms
+        out._frob_acc = copy.copy(self._frob_acc)
+        out._delta_acc = copy.copy(self._delta_acc)
         return out
 
     def merge(self, other: "FdSketch") -> "FdSketch":
         """Combine two sketches of the same geometry into a new one.
 
         The other sketch is flushed (on a copy) and its nonzero rows are
-        re-inserted here, then the stream bookkeeping is set to the true
-        totals. Both inputs are left untouched.
+        re-inserted here, compressing as they fill the buffer; then its row
+        count, input mass and shrink total are added once. Both inputs are
+        left untouched.
         """
         mine, theirs = self.params, other.params
         if (mine.k, mine.eps, mine.ell, mine.d) != (theirs.k, theirs.eps, theirs.ell, theirs.d):
@@ -307,9 +338,9 @@ class FdSketch:
         donor = other.copy()
         donor.flush()
         for row in donor._buf[: donor._nonzero]:
-            out.append(row)
-        out._rows_seen = self._rows_seen + other._rows_seen
-        out._frob_acc = _KahanSum(self.input_frob_sq + donor.input_frob_sq)
+            out._insert(row)
+        out._rows_seen += donor.rows_seen
+        out._frob_acc.add(donor.input_frob_sq)
         out._delta_acc.add(donor.delta_sum)
         # lost-mass accounting inherits the looser of the two windows
         out._bracket_rows = max(self._bracket_rows, other._bracket_rows)

@@ -131,7 +131,7 @@ def run_trial(cfg: TrialConfig, identity_check_every: int = 10) -> TrialOutcome:
     last_delta = 0.0
     for i, row in enumerate(rows, start=1):
         sk.append(row)
-        norm_acc.append(math.fsum(float(x) * float(x) for x in row))
+        norm_acc.append(math.fsum(row * row))
         if per_row and (i % identity_check_every == 0 or i == rows.shape[0]):
             exact = math.fsum(norm_acc)
             resid = abs(exact - frob_sq(sk._buf) - sk.ell * sk.delta_sum)

@@ -161,6 +161,21 @@ def test_midfill_batched_sketch_survives_round_trip(tmp_path):
     assert error_report(rows, back).all_ok
 
 
+def test_per_row_sketch_saved_before_its_buffer_fills(tmp_path):
+    # with one trigger a per-row buffer holds its first rows unshrunk; the
+    # reloaded sketch must count them as pending, as the saved one does
+    rows = np.random.default_rng(2).normal(size=(2, 6))
+    sk = _stream_sketch(rows, k=2, eps=1.0)
+    assert sk.buffer_rows == sk.ell == 4
+    assert sk._pending == 2
+    path = str(tmp_path / "mid.fdsk")
+    save_sketch(path, sk)
+    back = load_sketch(path)
+    assert back._pending == 2
+    assert_array_equal(back.query(), sk.copy().query())
+    assert error_report(rows, back).all_ok
+
+
 def test_mixed_merge_bracket_survives_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     rows = rng.normal(size=(40, 6))
@@ -203,6 +218,33 @@ def test_sketch_file_corruption_detected(tmp_path):
     path_obj.write_bytes(good[:10])
     with pytest.raises(SketchFormatError, match="truncated header"):
         load_sketch(str(path_obj))
+    # well-sized records whose values no sketch can hold: (k, ell, eps,
+    # delta_sum, input_frob_sq) and a 3x2 body, one row per list entry
+    row = [1.0, 2.0]
+    zero = [0.0, 0.0]
+    for fields, body, match in (
+        ((1, 3, 0.5, 0.0, 10.0), [[np.nan, 1.0], zero, zero], "non-finite"),
+        ((1, 3, 0.5, 0.0, 10.0), [row, [np.inf, 0.0], zero], "non-finite"),
+        ((1, 3, -1.0, 0.0, 10.0), [zero] * 3, "eps"),
+        ((1, 3, 0.0, 0.0, 10.0), [zero] * 3, "eps"),
+        ((1, 3, np.nan, 0.0, 10.0), [zero] * 3, "non-finite"),
+        ((1, 3, np.inf, 0.0, 10.0), [zero] * 3, "non-finite"),
+        ((1, 3, 1.0, 0.0, 10.0), [zero] * 3, "ell"),
+        ((1, 3, 0.5, np.nan, 10.0), [zero] * 3, "non-finite"),
+        ((1, 3, 0.5, 0.0, np.inf), [zero] * 3, "non-finite"),
+        ((1, 3, 0.5, -1.0, 10.0), [zero] * 3, "negative"),
+        ((1, 3, 0.5, 0.0, -10.0), [zero] * 3, "negative"),
+        ((1, 3, 0.5, 0.0, 10.0), [zero, row, zero], "zero row"),
+        ((1, 3, 0.5, 0.0, 10.0), [row, zero, row], "zero row"),
+        ((1, 3, 0.5, 0.0, 10.0), [row, row, row], "zero row"),
+    ):
+        k, ell, eps, delta, frob = fields
+        path_obj.write_bytes(
+            header.pack(b"FDSK", 1, k, ell, 3, 2, 5, eps, delta, frob)
+            + np.asarray(body, dtype="<f8").tobytes()
+        )
+        with pytest.raises(SketchFormatError, match=match):
+            load_sketch(str(path_obj))
 
 
 # -- command line -------------------------------------------------------------
@@ -234,6 +276,56 @@ def test_cli_sketch_then_verify(tmp_path, capsys):
         "lemma7_low", "lemma7_high", "lemma8_low", "lemma8_high",
     }
     assert err == ""
+
+
+def test_cli_payload_keys_and_order(tmp_path, capsys):
+    rng = np.random.default_rng(10)
+    rows = rng.normal(size=(20, 4))
+    stream = str(tmp_path / "rows.csv")
+    write_rows(stream, rows, "csv")
+    a = str(tmp_path / "a.fdsk")
+    m = str(tmp_path / "m.fdsk")
+    rc, text, _ = _run(capsys, "sketch", "--input", stream, "--k", "1",
+                       "--eps", "0.5", "--out", a)
+    assert rc == 0
+    assert list(json.loads(text)) == [
+        "command", "out", "k", "eps", "ell", "buffer_rows", "d", "rows",
+        "delta_sum", "input_frob_sq",
+    ]
+    rc, text, _ = _run(capsys, "merge", a, a, "--out", m)
+    assert rc == 0
+    assert list(json.loads(text)) == [
+        "command", "out", "k", "eps", "ell", "d", "rows", "delta_sum",
+        "input_frob_sq",
+    ]
+    rc, text, _ = _run(capsys, "verify", "--input", stream, "--sketch", a)
+    assert rc == 0
+    payload = json.loads(text)
+    assert list(payload) == ["command", "bounds", "all_pass", "report"]
+    assert list(payload["report"]) == [
+        "rows", "ell", "buffer_rows", "frob_a_sq", "frob_q_sq", "frob_qk_sq",
+        "delta_sum", "max_dir_gap", "min_dir_gap", "frob_identity_residual",
+        "proj_err_ratio", "rank_k_residual_sq", "rank_k_mass_sq",
+        "qk_norm_bounds", "topk_window_applicable",
+    ]
+    assert len(payload["report"]["qk_norm_bounds"]) == 2
+
+
+def test_cli_binary_header_with_huge_dimension_exits_two(tmp_path, capsys):
+    # the claimed row width must never size a read: 2**60 overflows it, 2**40
+    # would ask for 8 TiB; the short body makes both a malformed stream
+    sk = str(tmp_path / "s.fdsk")
+    save_sketch(sk, FdSketch(k=1, eps=0.5, d=8))
+    bogus = tmp_path / "huge.bin"
+    for d, body in ((2**60, b""), (2**60, b"\x00" * 64), (2**40, b"\x00" * 64)):
+        bogus.write_bytes(b"FDRW" + struct.pack("<Q", d) + body)
+        rc, _, err = _run(capsys, "sketch", "--input", str(bogus), "--k", "1",
+                          "--eps", "0.5", "--out", str(tmp_path / "o.fdsk"))
+        assert rc == 2, err
+        assert err.startswith("input error")
+        rc, _, err = _run(capsys, "verify", "--input", str(bogus), "--sketch", sk)
+        assert rc == 2, err
+        assert err.startswith("input error")
 
 
 def test_cli_csv_and_binary_streams_give_identical_sketch_files(tmp_path, capsys):
@@ -395,7 +487,6 @@ def test_cli_no_sparse_fd_scan(tmp_path, capsys):
     payload = json.loads(text)
     assert payload["grid"]["empty"] is True
     assert payload["grid"]["witness"] is None
-    assert payload["spot_checks"]["mismatches"] == 0
     assert abs(payload["residual_min"] - 1.25) < 1e-9
     rc, text, _ = _run(capsys, "no-sparse-fd", "--ell", "4", "--c", "0.5",
                        "--step", "0.5")

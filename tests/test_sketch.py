@@ -65,6 +65,26 @@ def test_append_validates_rows():
     assert s.rows_seen == 0
 
 
+def test_append_rejects_overflowing_norm_before_counting():
+    s = FdSketch(k=1, eps=1.0, d=5)
+    s.append(np.ones(5))
+    with pytest.raises(ValueError, match="squared norm"):
+        s.append(np.full(5, 1e200))
+    assert s.rows_seen == 1
+    assert s.input_frob_sq == 5.0
+    # a finite squared norm whose running total would overflow is refused too
+    big = np.zeros(5)
+    big[0] = 1e154
+    s.append(big)
+    with pytest.raises(ValueError, match="squared norm"):
+        s.append(big)
+    assert s.rows_seen == 2
+    assert s.input_frob_sq == 5.0 + 1e308
+    s.append(np.arange(5.0))
+    assert s.rows_seen == 3
+    assert np.isfinite(s.query()).all()
+
+
 def test_zero_rows_only_bump_bookkeeping():
     s = FdSketch(k=1, eps=1.0, d=2)
     s.append([3.0, 4.0])
