@@ -3,7 +3,8 @@
 Subcommands: sketch, merge, verify, hh, adversary, no-sparse-fd. Every
 report goes to stdout as JSON (indented by default, compact with --json).
 Exit codes: 0 success, 1 verification found a violated bound, 2 malformed
-input or parameters, 3 file I/O failure.
+input or parameters (including a size that cannot be allocated), 3 file I/O
+failure.
 """
 from __future__ import annotations
 
@@ -82,8 +83,6 @@ def _cmd_merge(args) -> int:
 def _cmd_verify(args) -> int:
     sk = fio.load_sketch(args.sketch)
     rows = fio.read_rows(args.input, args.format)
-    if rows.size == 0:
-        rows = rows.reshape(0, sk.d)
     if rows.shape[0] != sk.rows_seen:
         print(
             f"warning: stream has {rows.shape[0]} rows but the sketch "
@@ -270,6 +269,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # e.g. a binary header whose width sizes a buffer no machine holds
+        print(f"parameter error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -20,6 +20,8 @@ Sketch record
 """
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 import sys
 from typing import Iterator, Optional
@@ -148,6 +150,7 @@ def write_rows(path: str, rows, fmt: str = "csv") -> None:
 
 
 def save_sketch(path: str, sk: FdSketch) -> None:
+    """Write ``sk`` to ``path``; on any failure ``path`` is left as it was."""
     p = sk.params
     # the stored row count carries the lost-mass window width, which a merge
     # can have widened past this sketch's own buffer; pad with zero rows so
@@ -156,22 +159,32 @@ def save_sketch(path: str, sk: FdSketch) -> None:
     buf = sk._buf
     if m_out > p.buffer_rows:
         buf = np.vstack([buf, np.zeros((m_out - p.buffer_rows, p.d))])
-    with open(path, "wb") as fh:
-        fh.write(
-            _SKETCH_HEADER.pack(
-                SKETCH_MAGIC,
-                SKETCH_VERSION,
-                p.k,
-                p.ell,
-                m_out,
-                p.d,
-                sk.rows_seen,
-                p.eps,
-                sk.delta_sum,
-                sk.input_frob_sq,
+    # write beside the target and rename over it, so a failed write never
+    # leaves a truncated file under the target's name
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(
+                _SKETCH_HEADER.pack(
+                    SKETCH_MAGIC,
+                    SKETCH_VERSION,
+                    p.k,
+                    p.ell,
+                    m_out,
+                    p.d,
+                    sk.rows_seen,
+                    p.eps,
+                    sk.delta_sum,
+                    sk.input_frob_sq,
+                )
             )
-        )
-        fh.write(np.ascontiguousarray(buf, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(buf, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_sketch(path: str) -> FdSketch:

@@ -5,6 +5,11 @@ columns are features, so "row space" always means the span of the data
 points. The factorization work is delegated to LAPACK through numpy; what
 this module adds is the validation, the truncation conventions, and the
 spectral gap helper the error bounds are stated in.
+
+The sketch's shrink step factorizes its buffer through the buffer's Gram
+matrix (see ``FdSketch.compress``) and calls ``svd_thin`` only as its exact
+fallback; ``best_rank_k`` and ``project_rowspace`` are the oracles
+``error_report`` checks it against.
 """
 from __future__ import annotations
 

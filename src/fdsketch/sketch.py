@@ -10,6 +10,14 @@ ell-th largest squared singular value delta, and the buffer is rewritten as
     s'_j    = sqrt(max(s_j ** 2 - delta, 0))
     Q      <- diag(s') @ V.T
 
+The factorization is the eigendecomposition of the small m x m Gram matrix
+``B B^T`` of the buffer's nonzero rows B, which gives s^2 and, through
+``U^T B``, the rows of ``diag(s) V^T`` without an SVD of the m x d buffer.
+When that route cannot resolve the spectrum (a rank-deficient or badly
+conditioned buffer, or one at least as tall as it is wide) the buffer goes
+through LAPACK's thin SVD instead; ``FdSketch.compress`` states the exact
+cutoff.
+
 That is the one compression trigger, at every batch factor. With
 ``batch_factor == 1`` (``m == ell``) a shrink leaves at most ``ell - 1``
 nonzero rows, so once the buffer has first filled every nonzero row costs one
@@ -276,25 +284,71 @@ class FdSketch:
         Returns the shrink value applied. Zero rows cost nothing; until the
         buffer reaches full rank the shrink value stays 0 and the rewrite is
         a pure rotation.
+
+        Kernel. With ``B`` the m nonzero rows, ``r = min(ell, m)`` and
+        ``w, U`` the eigenpairs of the m x m Gram matrix ``B B^T`` (descending),
+        the shrink is ``delta = w[ell-1]`` (0 if m < ell) and the new rows are
+        ``diag(keep) U[:, :r]^T B`` with ``keep = sqrt(max(w - delta, 0) / w)``.
+        That costs O(m^2 d) and never forms the left factor of an SVD.
+
+        Soundness. The new buffer is ``W B`` with ``W = diag(keep) U^T`` and
+        ``0 <= keep <= 1``, so ``B^T B - B'^T B' = B^T (I - W^T W) B`` is PSD by
+        construction: ``|Ax|^2 >= |Qx|^2`` does not rest on eigenvalue
+        accuracy. The upper side ``<= delta`` holds up to eigh's absolute
+        eigenvalue error, about ``m * 2^-52 * w[0]``: every kept ``w[j]`` is at
+        least delta, so dividing by it never amplifies that error.
+
+        Fallback. The Gram route runs only when ``0 < m < d`` and
+        ``w[r-1] > m * 2^-40 * w[0]``, i.e. every eigenvalue it divides by
+        clears eigh's error by a factor 2^12. Otherwise (rank-deficient or
+        ill-conditioned buffers, buffers at least as tall as wide) the whole
+        buffer goes through LAPACK's thin SVD, whose small singular values
+        are accurate to about ``2^-52 * s_1``, where the Gram route's are
+        accurate only to about ``sqrt(m * 2^-52) * s_1`` because squaring B
+        squares its condition number. A rank-deficient stream then shrinks
+        by round-off squared, not by round-off.
         """
         before = self._buf.copy() if self.compress_hook is not None else None
-        f = svd_thin(self._buf)
-        s = f.s
-        ell = self.params.ell
-        # square once and reuse: taking delta from the same array guarantees
-        # the cut entry shrinks to exactly 0.0, which the slot bookkeeping
-        # below relies on (a separately computed square can differ by one ulp)
-        sq = s * s
-        delta = float(sq[ell - 1]) if s.size >= ell else 0.0
-        shrunk = np.sqrt(np.maximum(sq - delta, 0.0))
+        gram = self._gram_shrink()
+        if gram is not None:
+            delta, scale, rows = gram
+        else:
+            f = svd_thin(self._buf)
+            # square once and reuse: taking delta from the same array
+            # guarantees the cut entry shrinks to exactly 0.0, which the slot
+            # bookkeeping relies on (a separate square can differ by one ulp)
+            sq = f.s * f.s
+            ell = self.params.ell
+            delta = float(sq[ell - 1]) if sq.size >= ell else 0.0
+            scale = np.sqrt(np.maximum(sq - delta, 0.0))
+            rows = scale[:, None] * f.v.T
         self._buf[:] = 0.0
-        self._buf[: shrunk.size] = shrunk[:, None] * f.v.T
-        self._nonzero = int(np.count_nonzero(shrunk))
+        self._buf[: rows.shape[0]] = rows
+        # each new row is its scale times a nonzero row, and zero scales come
+        # last, so the nonzero rows stay first
+        self._nonzero = int(np.count_nonzero(scale))
         self._pending = 0
         self._delta_acc.add(delta)
         if self.compress_hook is not None:
             self.compress_hook(before, self._buf.copy(), delta)
         return delta
+
+    def _gram_shrink(self) -> Optional[tuple[float, np.ndarray, np.ndarray]]:
+        """``(delta, keep, rows)`` by the Gram route, or None to fall back."""
+        b = self._buf[: self._nonzero]
+        m = b.shape[0]
+        if not 0 < m < self.params.d:
+            return None
+        ell = self.params.ell
+        w, u = np.linalg.eigh(b @ b.T)
+        w, u = w[::-1], u[:, ::-1]
+        r = min(ell, m)
+        if not w[r - 1] > m * 2.0**-40 * w[0]:
+            return None
+        # delta comes from the same array w, so entry ell-1 shrinks to 0.0
+        delta = float(w[ell - 1]) if m >= ell else 0.0
+        keep = np.sqrt(np.maximum(w[:r] - delta, 0.0) / w[:r])
+        return delta, keep, keep[:, None] * (u[:, :r].T @ b)
 
     def flush(self) -> None:
         """Compress any rows appended since the last compression."""
@@ -325,7 +379,8 @@ class FdSketch:
         The other sketch is flushed (on a copy) and its nonzero rows are
         re-inserted here, compressing as they fill the buffer; then its row
         count, input mass and shrink total are added once. Both inputs are
-        left untouched.
+        left untouched. A combined ``input_frob_sq`` that overflows float64
+        is rejected with ``ValueError`` before any work is done.
         """
         mine, theirs = self.params, other.params
         if (mine.k, mine.eps, mine.ell, mine.d) != (theirs.k, theirs.eps, theirs.ell, theirs.d):
@@ -334,6 +389,8 @@ class FdSketch:
                 f"{(mine.k, mine.eps, mine.ell, mine.d)} vs "
                 f"{(theirs.k, theirs.eps, theirs.ell, theirs.d)}"
             )
+        if not math.isfinite(self._frob_acc.value + other.input_frob_sq):
+            raise ValueError("merged input_frob_sq overflows float64")
         out = self.copy()
         donor = other.copy()
         donor.flush()
@@ -414,7 +471,9 @@ def error_report(a, sketch: FdSketch) -> ErrorReport:
     directional bounds, in stream order if the mass identity is to be exact.
     """
     arr = np.asarray(a, dtype=np.float64)
-    if arr.size == 0:
+    if arr.size == 0 and arr.shape[-1] == 0:
+        # an empty stream without a width (``[]``, an empty CSV) takes the
+        # sketch's; an empty stream of another width is a mismatch
         arr = arr.reshape(0, sketch.d)
     else:
         arr = as_matrix(arr)

@@ -1,8 +1,11 @@
 """Independent numerical oracles used by the test suite.
 
-Everything here avoids np.linalg's factorizations on purpose: the library under
-test is LAPACK-backed, so expected values are recomputed through a hand-written
-cyclic Jacobi eigensolver on Gram matrices. Slow but trustworthy at test sizes.
+The linear-algebra oracles avoid np.linalg's factorizations on purpose: the
+library's factorizations are LAPACK-backed, so expected values are recomputed
+through a hand-written cyclic Jacobi eigensolver on Gram matrices. Slow but
+trustworthy at test sizes. The one exception is ``fd_lapack_oracle``, the
+reference for the sketch's Gram-route shrink kernel, which shrinks through
+LAPACK's SVD of the buffer itself and so shares no factorization with it.
 """
 from __future__ import annotations
 
@@ -126,3 +129,42 @@ def removed_row_residuals(q: np.ndarray) -> np.ndarray:
 def exact_frob_sq(rows) -> float:
     """Exactly rounded accumulation of squared row norms (math.fsum)."""
     return math.fsum(float(x) * float(x) for row in rows for x in np.ravel(row))
+
+
+def fd_lapack_oracle(rows, ell: int, buffer_rows: int):
+    """Frequent Directions with one LAPACK thin SVD per shrink step.
+
+    Same trigger as the library: a nonzero row takes the next free slot of a
+    ``buffer_rows``-row buffer, the buffer is shrunk when no slot is left, and
+    once more at the end if rows arrived since. Each shrink subtracts the
+    ell-th largest squared singular value from every squared singular value.
+    Returns the final ``ell`` sketch rows and the shrink total.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    d = rows.shape[1]
+    buf = np.zeros((0, d))
+    delta_sum = 0.0
+    pending = False
+
+    def shrink(b):
+        _, s, vt = np.linalg.svd(b, full_matrices=False)
+        sq = s * s
+        delta = float(sq[ell - 1]) if sq.size >= ell else 0.0
+        keep = np.sqrt(np.maximum(sq - delta, 0.0))
+        return (keep[:, None] * vt)[keep > 0.0], delta
+
+    for row in rows:
+        if not row.any():
+            continue
+        buf = np.vstack([buf, row])
+        pending = True
+        if buf.shape[0] == buffer_rows:
+            buf, delta = shrink(buf)
+            delta_sum += delta
+            pending = False
+    if pending:
+        buf, delta = shrink(buf)
+        delta_sum += delta
+    q = np.zeros((ell, d))
+    q[: min(ell, buf.shape[0])] = buf[:ell]
+    return q, delta_sum

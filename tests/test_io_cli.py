@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import fdsketch.io as fio
 from fdsketch.cli import main
 from fdsketch.io import (
     RowStreamError,
@@ -199,6 +200,36 @@ def test_empty_sketch_round_trip(tmp_path):
     assert_array_equal(back.query(), np.zeros((sk.ell, 4)))
 
 
+def test_failed_save_leaves_the_old_file_and_no_stray_file(tmp_path, monkeypatch):
+    path = tmp_path / "s.fdsk"
+    save_sketch(str(path), _stream_sketch(np.eye(8)))
+    old = path.read_bytes()
+
+    class HalfWrite:
+        """A file that takes the header, then fails on the buffer."""
+
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes > 1:
+                raise OSError("disk full")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(fio, "open", lambda *a: HalfWrite(open(*a)), raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        save_sketch(str(path), _stream_sketch(2.0 * np.eye(8)))
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["s.fdsk"]
+
+
 def test_sketch_file_corruption_detected(tmp_path):
     path_obj = tmp_path / "bad.fdsk"
     header = struct.Struct("<4sH5Q3d")
@@ -326,6 +357,55 @@ def test_cli_binary_header_with_huge_dimension_exits_two(tmp_path, capsys):
         rc, _, err = _run(capsys, "verify", "--input", str(bogus), "--sketch", sk)
         assert rc == 2, err
         assert err.startswith("input error")
+
+
+def test_cli_empty_binary_stream_with_unallocatable_width_exits_two(tmp_path, capsys):
+    # 2**50 columns ask for a 27 PiB buffer, which fails at once; never test
+    # a smaller width here, which an overcommitting kernel could grant
+    bogus = tmp_path / "wide.bin"
+    bogus.write_bytes(b"FDRW" + struct.pack("<Q", 2**50))
+    out = tmp_path / "o.fdsk"
+    rc, text, err = _run(capsys, "sketch", "--input", str(bogus), "--k", "1",
+                         "--eps", "0.5", "--out", str(out))
+    assert rc == 2
+    assert text == ""
+    assert err.startswith("parameter error: out of memory") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_verify_checks_the_width_of_an_empty_binary_stream(tmp_path, capsys):
+    sk = str(tmp_path / "s.fdsk")
+    save_sketch(sk, FdSketch(k=1, eps=1.0, d=2))
+    empty7 = str(tmp_path / "empty7.bin")
+    write_rows(empty7, np.zeros((0, 7)), "binary")
+    rc, _, err = _run(capsys, "verify", "--input", empty7, "--sketch", sk)
+    assert rc == 2
+    assert "7 columns" in err
+    # an empty CSV carries no width, and an empty binary stream of the right
+    # width matches, so both audit the empty sketch
+    empty_csv = tmp_path / "empty.csv"
+    empty_csv.write_text("")
+    empty2 = str(tmp_path / "empty2.bin")
+    write_rows(empty2, np.zeros((0, 2)), "binary")
+    for stream in (str(empty_csv), empty2):
+        rc, text, _ = _run(capsys, "verify", "--input", stream, "--sketch", sk)
+        assert rc == 0
+        assert json.loads(text)["all_pass"] is True
+
+
+def test_cli_merge_rejects_overflowing_input_mass(tmp_path, capsys):
+    paths = []
+    for i, row in enumerate(([1e154, 0.0], [0.0, 1e154])):
+        sk = FdSketch(k=1, eps=1.0, d=2)
+        sk.append(row)
+        paths.append(str(tmp_path / f"{i}.fdsk"))
+        save_sketch(paths[-1], sk)
+    out = tmp_path / "m.fdsk"
+    rc, text, err = _run(capsys, "merge", *paths, "--out", str(out))
+    assert rc == 2
+    assert text == ""
+    assert "overflows" in err
+    assert not out.exists()
 
 
 def test_cli_csv_and_binary_streams_give_identical_sketch_files(tmp_path, capsys):

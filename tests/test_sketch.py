@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
+import fdsketch.sketch as fsk
 from fdsketch.linalg import directional_norm_gap, frob_sq
 from fdsketch.sketch import (
     FdParams,
@@ -13,7 +14,7 @@ from fdsketch.sketch import (
     error_report,
     sketch_rows_for,
 )
-from oracles import exact_frob_sq
+from oracles import exact_frob_sq, fd_lapack_oracle
 
 
 def test_sketch_rows_examples():
@@ -165,6 +166,93 @@ def test_every_compression_obeys_shrink_bound():
         assert g.max_gap <= delta + scale
         assert g.min_gap >= -scale
         assert np.count_nonzero(np.any(after != 0.0, axis=1)) <= s.ell - 1
+
+
+def _ill_scaled(rng, n, d, spectrum_decades, norm_decades):
+    """Covariance spectrum over ``spectrum_decades`` in a random basis, row
+    norms spread evenly over ``norm_decades`` (the benchmark's shard-merge
+    stream at 6 and 4)."""
+    rotation, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    rows = (rng.standard_normal((n, d)) * np.logspace(0.0, -spectrum_decades, d)) @ rotation.T
+    half = norm_decades / 2.0
+    norms = 10.0 ** rng.permutation(np.linspace(-half, half, n))
+    return rows * (norms / np.linalg.norm(rows, axis=1))[:, None]
+
+
+def _count_fallbacks(monkeypatch) -> list:
+    """Record every LAPACK fallback of the shrink kernel."""
+    calls = []
+    real = fsk.svd_thin
+
+    def counted(a):
+        calls.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(fsk, "svd_thin", counted)
+    return calls
+
+
+@pytest.mark.parametrize("decades", [(6, 4), (12, 12)])
+@pytest.mark.parametrize("batch_factor", [1.0, 2.0])
+def test_ill_scaled_streams_keep_every_bound(monkeypatch, decades, batch_factor):
+    fallbacks = _count_fallbacks(monkeypatch)
+    rows = _ill_scaled(np.random.default_rng(15), 120, 300, *decades)
+    steps = []
+
+    def hook(before, after, delta):
+        g = directional_norm_gap(before, after)
+        scale = 1e-9 * max(1.0, frob_sq(before))
+        steps.append(
+            delta >= 0.0
+            and g.max_gap <= delta + scale
+            and g.min_gap >= -scale
+            and np.count_nonzero(np.any(after != 0.0, axis=1)) <= s.ell - 1
+        )
+
+    s = FdSketch(k=10, eps=0.5, d=300, batch_factor=batch_factor, compress_hook=hook)
+    s.extend(rows)
+    rep = error_report(rows, s)
+    assert steps and all(steps)
+    assert rep.all_ok
+    # twelve decades take some buffers past the Gram route's cutoff
+    assert fallbacks or decades == (6, 4)
+
+
+@pytest.mark.parametrize("batch_factor", [1.0, 2.0])
+def test_gram_kernel_matches_lapack_oracle(monkeypatch, batch_factor):
+    # well conditioned and wider than the buffer: the Gram route runs at
+    # every shrink, so this compares it, not the fallback, with LAPACK
+    fallbacks = _count_fallbacks(monkeypatch)
+    rng = np.random.default_rng(16)
+    basis = rng.normal(size=(10, 200))
+    rows = rng.normal(size=(150, 10)) @ basis + 0.1 * rng.normal(size=(150, 200))
+    s = FdSketch(k=5, eps=0.5, d=200, batch_factor=batch_factor)
+    s.extend(rows)
+    q = s.query()
+    assert fallbacks == []
+    q_ref, delta_ref = fd_lapack_oracle(rows, s.ell, s.buffer_rows)
+    tol = 1e-10 * frob_sq(rows)
+    assert np.linalg.norm(q.T @ q - q_ref.T @ q_ref) <= tol
+    assert abs(s.delta_sum - delta_ref) <= tol
+
+
+def test_rank_deficient_and_tall_buffers_fall_back_to_lapack(monkeypatch):
+    fallbacks = _count_fallbacks(monkeypatch)
+    rng = np.random.default_rng(17)
+    rank3 = rng.normal(size=(60, 3)) @ rng.normal(size=(3, 20))
+    s = FdSketch(k=2, eps=0.5, d=20)
+    s.extend(rank3)
+    s.flush()
+    assert fallbacks
+    assert error_report(rank3, s).all_ok
+    # a full buffer of 12 rows is at least as tall as its width 8
+    fallbacks.clear()
+    square = rng.normal(size=(40, 8))
+    s = FdSketch(k=2, eps=0.5, d=8, batch_factor=2.0)
+    s.extend(square)
+    s.flush()
+    assert fallbacks and set(fallbacks) == {s.buffer_rows}
+    assert error_report(square, s).all_ok
 
 
 def test_streaming_invariants_hold_at_every_prefix():
@@ -343,6 +431,17 @@ def test_merge_bookkeeping_and_guarantees():
     assert rep.all_ok
     # mirror order merges to a possibly different state with the same promises
     assert error_report(rows, s2.merge(s1)).all_ok
+
+
+def test_merge_rejects_overflowing_input_mass():
+    a = FdSketch(k=1, eps=1.0, d=2)
+    b = FdSketch(k=1, eps=1.0, d=2)
+    a.append([1e154, 0.0])
+    b.append([0.0, 1e154])
+    with pytest.raises(ValueError, match="overflows"):
+        a.merge(b)
+    assert (a.rows_seen, b.rows_seen) == (1, 1)
+    assert a.input_frob_sq == b.input_frob_sq == 1e308
 
 
 def test_merge_tree_of_four_shards():
