@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -34,11 +35,21 @@ _VERIFY_REPORT_FIELDS = (
 )
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _emit(payload: dict, compact: bool) -> None:
-    if compact:
-        print(json.dumps(payload, separators=(",", ":")))
-    else:
-        print(json.dumps(payload, indent=2))
+    """Print ``payload`` as strict JSON: a non-finite value is written as null."""
+    layout = {"separators": (",", ":")} if compact else {"indent": 2}
+    print(json.dumps(_finite_or_null(payload), allow_nan=False, **layout))
 
 
 def _sketch_payload(command: str, out: str, sk: FdSketch, geometry: Sequence[str]) -> dict:
@@ -50,20 +61,16 @@ def _sketch_payload(command: str, out: str, sk: FdSketch, geometry: Sequence[str
 
 
 def _cmd_sketch(args) -> int:
-    fmt = args.format
-    it = fio.iter_rows(args.input, fmt)
-    first = next(it, None)
-    if first is None:
-        # an empty CSV carries no width; d=1 by convention (binary streams
-        # store d in their header and take the other branch)
-        d = 1
-        if (fmt or fio.sniff_format(args.input)) == "binary":
-            d = fio.read_rows(args.input, fmt).shape[1]
-        sk = FdSketch(k=args.k, eps=args.eps, d=d, batch_factor=args.c)
-    else:
-        sk = FdSketch(k=args.k, eps=args.eps, d=first.size, batch_factor=args.c)
-        sk.append(first)
-        for row in it:
+    with fio.RowReader(args.input, args.format) as stream:
+        rows = fio.iter_rows(stream)
+        # read a row before the width sizes the buffer, so a bogus width over
+        # a short body fails as malformed input, not as an allocation
+        first = next(rows, None)
+        # an empty CSV carries no width; d=1 by convention
+        sk = FdSketch(k=args.k, eps=args.eps, d=stream.d or 1, batch_factor=args.c)
+        if first is not None:
+            sk.append(first)
+        for row in rows:
             sk.append(row)
     fio.save_sketch(args.out, sk)
     geometry = ("k", "eps", "ell", "buffer_rows", "d")
@@ -82,14 +89,16 @@ def _cmd_merge(args) -> int:
 
 def _cmd_verify(args) -> int:
     sk = fio.load_sketch(args.sketch)
-    rows = fio.read_rows(args.input, args.format)
-    if rows.shape[0] != sk.rows_seen:
+    with fio.RowReader(args.input, args.format) as rows:
+        # before error_report allocates its d x d accumulator
+        rows.check_width(sk.d)
+        report = error_report(rows.blocks(), sk)
+    if rows.rows_read != sk.rows_seen:
         print(
-            f"warning: stream has {rows.shape[0]} rows but the sketch "
+            f"warning: stream has {rows.rows_read} rows but the sketch "
             f"processed {sk.rows_seen}",
             file=sys.stderr,
         )
-    report = error_report(rows, sk)
     summary = {"rows": report.rows_seen}
     summary.update((name, getattr(report, name)) for name in _VERIFY_REPORT_FIELDS)
     _emit(

@@ -4,7 +4,9 @@ Row streams
     CSV: one row per line, exactly d comma-separated finite decimals,
     written with shortest-round-trip repr so CSV and binary carry identical
     bits. Binary: magic ``FDRW``, then d as u64 little-endian, then float64
-    little-endian values row-major.
+    little-endian values row-major. ``RowReader`` reads either format once,
+    row by row or in blocks of at most ``BLOCK_BYTES``, and knows d before
+    the first row.
 
 Sketch record
     Magic ``FDSK``, version u16, then k, ell, m, d, rows_seen as u64 LE,
@@ -21,6 +23,7 @@ Sketch record
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import struct
 import sys
@@ -56,80 +59,206 @@ def sniff_format(path: str) -> str:
     return "binary" if head == ROWS_MAGIC else "csv"
 
 
-def _iter_rows_csv(path: str) -> Iterator[np.ndarray]:
-    d: Optional[int] = None
-    with open(path, "r", encoding="ascii") as fh:
-        for line_no, line in enumerate(fh, start=1):
+# A block of rows holds at most this many bytes (one row, if a row is wider),
+# and a binary stream is read in pieces of at most this many.
+BLOCK_BYTES = 1 << 20
+
+
+def block_rows_for(d: int) -> int:
+    """Rows in one block of a d-column stream: as many as fit in
+    ``BLOCK_BYTES``, and at least one."""
+    return max(1, BLOCK_BYTES // (8 * d))
+
+
+def _read_upto(fh, nbytes: int) -> bytearray:
+    """Up to ``nbytes`` from ``fh``, fewer only at the end of the stream.
+
+    The buffer grows by at most ``BLOCK_BYTES`` per read, so a bogus width in
+    a header never sizes an allocation beyond what the stream holds.
+    """
+    buf = bytearray(min(nbytes, BLOCK_BYTES))
+    filled = 0
+    while True:
+        with memoryview(buf)[filled:] as view:
+            got = fh.readinto(view)
+        if not got:
+            break
+        filled += got
+        if filled == nbytes:
+            break
+        if filled == len(buf):
+            buf.extend(bytes(min(nbytes - filled, BLOCK_BYTES)))
+    del buf[filled:]
+    return buf
+
+
+class RowReader:
+    """An open row stream (CSV or binary; ``fmt=None`` sniffs the magic) that
+    knows its width before its first row.
+
+    ``d`` comes from the header of a binary stream and from the first
+    nonblank line of a CSV; an empty CSV has ``d = None``. Iterating yields
+    the rows one at a time; ``blocks()`` yields them as (rows, d) float64
+    arrays of ``block_rows_for(d)`` rows (fewer in the last one). Every array
+    handed out is fresh, never a view of a buffer the reader reuses, so
+    callers may keep them. ``rows_read`` counts the rows handed out so far.
+    Malformed data raises ``RowStreamError`` with the 1-based line (CSV) or
+    row (binary) number; the header of a binary stream is line 0. The file
+    is closed once the stream is exhausted, or by ``close()``.
+    """
+
+    def __init__(self, path: str, fmt: Optional[str] = None):
+        fmt = fmt or sniff_format(path)
+        if fmt not in ("csv", "binary"):
+            raise ValueError(f"unknown format {fmt!r}")
+        self.path = path
+        self.fmt = fmt
+        self.d: Optional[int] = None
+        self.rows_read = 0
+        self._rows: Optional[Iterator[np.ndarray]] = None
+        self._width_line = 0
+        if fmt == "csv":
+            self._fh = open(path, "r", encoding="ascii")
+        else:
+            self._fh = open(path, "rb")
+        try:
+            (self._open_csv if fmt == "csv" else self._open_binary)()
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def _open_csv(self) -> None:
+        self._lines = enumerate(self._fh, start=1)
+        for line_no, line in self._lines:
+            text = line.strip()
+            if text:
+                self.d = len(text.split(","))
+                self._width_line = line_no
+                self._lines = itertools.chain([(line_no, line)], self._lines)
+                break
+
+    def _open_binary(self) -> None:
+        header = self._fh.read(_ROWS_HEADER.size)
+        if len(header) < _ROWS_HEADER.size:
+            raise RowStreamError(self.path, 0, "truncated header")
+        magic, d = _ROWS_HEADER.unpack(header)
+        if magic != ROWS_MAGIC:
+            raise RowStreamError(self.path, 0, "bad magic, not a binary row stream")
+        if d < 1 or 8 * d > sys.maxsize:
+            raise RowStreamError(self.path, 0, f"bad dimension {d}")
+        self.d = int(d)
+
+    def check_width(self, d: int) -> None:
+        """Reject a stream whose width is known and is not ``d``."""
+        if self.d is not None and self.d != d:
+            raise RowStreamError(
+                self.path, self._width_line, f"stream has {self.d} columns, expected {d}"
+            )
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The remaining rows in blocks of ``block_rows_for(d)`` rows."""
+        if self.d is None:
+            return iter(())
+        return self._blocks(block_rows_for(self.d))
+
+    def __iter__(self) -> "RowReader":
+        return self
+
+    def __next__(self) -> np.ndarray:
+        if self._rows is None:
+            self._rows = self._blocks(1) if self.d is not None else iter(())
+        return next(self._rows)[0]
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> "RowReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _blocks(self, size: int) -> Iterator[np.ndarray]:
+        try:
+            parse = self._csv_blocks if self.fmt == "csv" else self._binary_blocks
+            for block in parse(size):
+                self.rows_read += block.shape[0]
+                yield block
+        finally:
+            self.close()
+
+    def _check_finite(self, block: np.ndarray, numbers) -> None:
+        """Reject the first row of ``block`` with a non-finite value;
+        ``numbers[i]`` is the line or row number of row i."""
+        if not np.isfinite(block).all():
+            bad = int(np.argmin(np.isfinite(block).all(axis=1)))
+            raise RowStreamError(self.path, numbers[bad], "non-finite value")
+
+    def _csv_blocks(self, size: int) -> Iterator[np.ndarray]:
+        d = self.d
+        block, line_nos = np.empty((size, d)), []
+        for line_no, line in self._lines:
             text = line.strip()
             if not text:
                 continue
             tokens = text.split(",")
-            if d is None:
-                d = len(tokens)
-            elif len(tokens) != d:
-                raise RowStreamError(
-                    path, line_no, f"expected {d} values, found {len(tokens)}"
-                )
-            try:
-                row = np.array([float(t) for t in tokens], dtype=np.float64)
-            except ValueError as exc:
-                raise RowStreamError(path, line_no, f"bad number: {exc}") from exc
-            if not np.isfinite(row).all():
-                raise RowStreamError(path, line_no, "non-finite value")
-            yield row
+            error = None
+            if len(tokens) != d:
+                error = f"expected {d} values, found {len(tokens)}"
+            else:
+                try:
+                    block[len(line_nos)] = [float(t) for t in tokens]
+                except ValueError as exc:
+                    error = f"bad number: {exc}"
+            if error:
+                # a non-finite value on an earlier line is the first error
+                self._check_finite(block[: len(line_nos)], line_nos)
+                raise RowStreamError(self.path, line_no, error)
+            line_nos.append(line_no)
+            if len(line_nos) == size:
+                self._check_finite(block, line_nos)
+                yield block
+                block, line_nos = np.empty((size, d)), []
+        if line_nos:
+            block = block[: len(line_nos)].copy()
+            self._check_finite(block, line_nos)
+            yield block
 
-
-def _iter_rows_binary(path: str) -> Iterator[np.ndarray]:
-    with open(path, "rb") as fh:
-        header = fh.read(_ROWS_HEADER.size)
-        if len(header) < _ROWS_HEADER.size:
-            raise RowStreamError(path, 0, "truncated header")
-        magic, d = _ROWS_HEADER.unpack(header)
-        if magic != ROWS_MAGIC:
-            raise RowStreamError(path, 0, "bad magic, not a binary row stream")
+    def _binary_blocks(self, size: int) -> Iterator[np.ndarray]:
+        d = self.d
         row_bytes = 8 * d
-        if d < 1 or row_bytes > sys.maxsize:
-            raise RowStreamError(path, 0, f"bad dimension {d}")
-        row_no = 0
         while True:
-            # read a row in pieces of at most 1 MiB, so that a bogus d in the
-            # header never makes read() ask for more than the stream holds
-            parts = []
-            left = row_bytes
-            while left and (part := fh.read(min(left, 1 << 20))):
-                parts.append(part)
-                left -= len(part)
-            if not parts:
-                break
-            row_no += 1
-            if left:
-                raise RowStreamError(path, row_no, "truncated row")
-            row = np.frombuffer(b"".join(parts), dtype="<f8").astype(np.float64)
-            if not np.isfinite(row).all():
-                raise RowStreamError(path, row_no, "non-finite value")
-            yield row
+            buf = _read_upto(self._fh, size * row_bytes)
+            full, part = divmod(len(buf), row_bytes)
+            if full:
+                block = np.frombuffer(buf, dtype="<f8", count=full * d)
+                block = block.astype(np.float64, copy=False).reshape(full, d)
+                first = self.rows_read + 1
+                self._check_finite(block, range(first, first + full))
+                yield block
+            if part:
+                raise RowStreamError(self.path, self.rows_read + 1, "truncated row")
+            if full < size:
+                return
 
 
-def iter_rows(path: str, fmt: Optional[str] = None) -> Iterator[np.ndarray]:
-    """Stream rows from a CSV or binary file; ``fmt=None`` sniffs the magic."""
-    fmt = fmt or sniff_format(path)
-    if fmt == "csv":
-        return _iter_rows_csv(path)
-    if fmt == "binary":
-        return _iter_rows_binary(path)
-    raise ValueError(f"unknown format {fmt!r}")
+def iter_rows(source, fmt: Optional[str] = None) -> RowReader:
+    """Rows of a stream one at a time. ``source`` is a path (``fmt=None``
+    sniffs the magic) or a ``RowReader`` already open, which is returned as
+    it is: the CLI opens its stream first to learn the width, then streams
+    the rows through this name, which the benchmark's tracer times."""
+    if isinstance(source, RowReader):
+        return source
+    return RowReader(source, fmt)
 
 
 def read_rows(path: str, fmt: Optional[str] = None) -> np.ndarray:
     """Materialize a whole stream; an empty CSV comes back with shape (0, 0)."""
-    rows = list(iter_rows(path, fmt))
-    if not rows:
-        if (fmt or sniff_format(path)) == "binary":
-            with open(path, "rb") as fh:
-                _, d = _ROWS_HEADER.unpack(fh.read(_ROWS_HEADER.size))
-            return np.zeros((0, int(d)))
-        return np.zeros((0, 0))
-    return np.vstack(rows)
+    with RowReader(path, fmt) as rows:
+        blocks = list(rows.blocks())
+        if not blocks:
+            return np.zeros((0, rows.d or 0))
+    return np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
 
 
 def write_rows(path: str, rows, fmt: str = "csv") -> None:

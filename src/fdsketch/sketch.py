@@ -36,8 +36,9 @@ and, with ``ell = ceil(k + k/eps)``, the relative-error family
     |A|_F^2 - |A_k|_F^2 <= |A|_F^2 - |Q_k|_F^2 <= (1+eps)(|A|_F^2 - |A_k|_F^2)
 
 where A_k is the best rank-k approximation of the stream so far and Q_k the
-top k rows of the sketch. ``error_report`` evaluates all of these against an
-explicitly materialized A.
+top k rows of the sketch. ``error_report`` evaluates all of these from the
+stream's Gram matrix A^T A and |A|_F^2, accumulated in one pass over row
+blocks, so a stream read from a file is never held in memory whole.
 
 Sketches over the same row order are bit-identical between runs; two
 sketches with equal (k, eps, ell, d) can be merged by re-inserting one
@@ -49,18 +50,14 @@ import copy
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .linalg import (
-    as_matrix,
-    best_rank_k,
-    directional_norm_gap,
-    frob_sq,
-    project_rowspace,
-    svd_thin,
-)
+from .linalg import as_matrix, frob_sq, rowspace_basis, svd_thin
+
+# not called here: perfbench/spans.py traces these names on this module
+from .linalg import best_rank_k, directional_norm_gap, project_rowspace  # noqa: F401
 
 # Pass tolerances for the bound checks: identities get 1e-8 relative, one-sided
 # inequalities get an absolute slack of 1e-9 * |A|_F^2.
@@ -406,7 +403,7 @@ class FdSketch:
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Every guarantee of one sketch evaluated against an explicit matrix A.
+    """Every guarantee of one sketch evaluated against its stream A.
 
     Raw quantities are kept alongside the pass/fail booleans so callers can
     renormalize or log them. ``qk_norm_bounds`` is the admissible window
@@ -463,22 +460,58 @@ class ErrorReport:
         return all(self.bounds().values())
 
 
-def error_report(a, sketch: FdSketch) -> ErrorReport:
-    """Evaluate every sketch guarantee against the matrix ``a``.
-
-    The sketch is flushed on a copy, so the caller's object is not mutated.
-    ``a`` must hold exactly the rows that were streamed, in any order for the
-    directional bounds, in stream order if the mass identity is to be exact.
-    """
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.size == 0 and arr.shape[-1] == 0:
-        # an empty stream without a width (``[]``, an empty CSV) takes the
-        # sketch's; an empty stream of another width is a mismatch
-        arr = arr.reshape(0, sketch.d)
-    else:
+def _stream_gram(blocks: Iterable, d: int) -> tuple[np.ndarray, float]:
+    """``A^T A`` and ``|A|_F^2`` of the rows in ``blocks`` (2-D arrays or
+    single rows), which must all have ``d`` columns."""
+    gram = np.zeros((d, d))
+    fa = 0.0
+    for block in blocks:
+        arr = np.asarray(block, dtype=np.float64)
+        if arr.size == 0 and arr.shape[-1] == 0:
+            # an empty stream without a width (``[]``, an empty CSV) takes the
+            # sketch's; an empty stream of another width is a mismatch
+            continue
         arr = as_matrix(arr)
-    if arr.shape[1] != sketch.d:
-        raise ValueError(f"matrix has {arr.shape[1]} columns, sketch expects {sketch.d}")
+        if arr.shape[1] != d:
+            raise ValueError(f"matrix has {arr.shape[1]} columns, sketch expects {d}")
+        gram += arr.T @ arr
+        fa += frob_sq(arr)
+    return gram, fa
+
+
+def error_report(a, sketch: FdSketch) -> ErrorReport:
+    """Evaluate every sketch guarantee against the stream ``a``.
+
+    ``a`` is the stream as one matrix, or an iterator over it in row blocks
+    (2-D arrays or single rows, as ``io.RowReader.blocks`` yields them). It
+    must hold exactly the rows that were streamed, in any order for the
+    directional bounds, in stream order if the mass identity is to be exact.
+    The sketch is flushed on a copy, so the caller's object is not mutated.
+
+    One pass accumulates ``G = A^T A`` (d x d) and ``|A|_F^2`` block by
+    block; no more than one block of A is held here at a time. Every quantity
+    is a function of the two, with ``w`` the eigenvalues of G and W an
+    orthonormal basis of the row space of Q_k (``linalg.rowspace_basis``, the
+    ``PINV_REL_CUTOFF`` convention):
+
+        |A - A_k|_F^2             = |A|_F^2 - (sum of the top k of w)
+        |A - proj_{Q_k}(A)|_F^2   = |A|_F^2 - tr(W^T G W)
+        max/min of |Ax|^2 - |Qx|^2 = extreme eigenvalues of G - Q^T Q
+
+    Both residuals are clamped at 0. Each is |A|_F^2 minus a sum of
+    eigenvalues or Rayleigh quotients of G, so its absolute error is that of
+    the d x d eigensolve: a backward-stable symmetric eigensolver returns the
+    eigenvalues of G + E with ``|E|_2 = O(d * 2^-52 * |G|_2)``, and
+    ``|G|_2 <= |A|_F^2``, so the error grows like ``d * 2^-52 * |A|_F^2``
+    (summing the rows into G and |A|_F^2 adds the rounding any route that
+    sums them has). A residual below
+    ``tiny = max(1e-12, d * 2^-52) * |A|_F^2`` is therefore
+    indistinguishable from 0, and when both are below it ``proj_err_ratio``
+    is 1; when only the rank-k residual is 0 the ratio is infinite. For
+    d <= 4503, ``d * 2^-52 < 1e-12`` and ``tiny`` is ``1e-12 * |A|_F^2``.
+    """
+    d = sketch.d
+    gram, fa = _stream_gram(a if isinstance(a, Iterator) else (a,), d)
 
     snap = sketch.copy()
     snap.flush()
@@ -486,22 +519,23 @@ def error_report(a, sketch: FdSketch) -> ErrorReport:
     qk = snap.query_topk()
     p = snap.params
 
-    fa = frob_sq(arr)
     fq = frob_sq(q)
     fqk = frob_sq(qk)
     delta = snap.delta_sum
     slack = INEQ_REL_TOL * fa
-    tiny = 1e-12 * fa
+    tiny = max(1e-12, d * 2.0**-52) * fa
 
-    gap = directional_norm_gap(arr, q)
-
-    if arr.shape[0] == 0:
-        ak = arr
-    else:
-        ak = best_rank_k(arr, p.k)
-    rank_k_residual_sq = frob_sq(arr - ak)
-    rank_k_mass_sq = frob_sq(ak)
-    proj_residual_sq = frob_sq(arr - project_rowspace(arr, qk))
+    w = np.linalg.eigvalsh(gram)
+    rank_k_mass_sq = float(np.maximum(w[::-1][: p.k], 0.0).sum())
+    rank_k_residual_sq = max(fa - rank_k_mass_sq, 0.0)
+    basis = rowspace_basis(qk)
+    proj_residual_sq = max(fa - float(((gram @ basis) * basis).sum()), 0.0)
+    gram -= q.T @ q
+    # symmetrize away accumulation noise before the eigensolve
+    gram += gram.T
+    gram *= 0.5
+    w = np.linalg.eigvalsh(gram)
+    max_gap, min_gap = float(w[-1]), float(w[0])
 
     if proj_residual_sq <= tiny and rank_k_residual_sq <= tiny:
         ratio = 1.0
@@ -534,16 +568,16 @@ def error_report(a, sketch: FdSketch) -> ErrorReport:
         frob_q_sq=fq,
         frob_qk_sq=fqk,
         delta_sum=delta,
-        max_dir_gap=gap.max_gap,
-        min_dir_gap=gap.min_gap,
+        max_dir_gap=max_gap,
+        min_dir_gap=min_gap,
         frob_identity_residual=identity_residual,
         rank_k_residual_sq=rank_k_residual_sq,
         rank_k_mass_sq=rank_k_mass_sq,
         proj_residual_sq=proj_residual_sq,
         proj_err_ratio=ratio,
         qk_norm_bounds=((1.0 - p.eps) * rank_k_mass_sq, rank_k_mass_sq),
-        gap_upper_ok=gap.max_gap <= fa / p.ell + slack,
-        gap_lower_ok=gap.min_gap >= -slack,
+        gap_upper_ok=max_gap <= fa / p.ell + slack,
+        gap_lower_ok=min_gap >= -slack,
         mass_window_ok=mass_window_ok,
         shrink_budget_ok=delta <= rank_k_residual_sq / (p.ell - p.k) + slack,
         proj_ratio_ok=proj_residual_sq <= (1.0 + p.eps) * rank_k_residual_sq + slack,

@@ -216,10 +216,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap.add_argument("--json", action="store_true", help="compact single-line JSON")
     args = ap.parse_args(argv)
     summary = run_suite(default_grid(n=args.n, d=args.d, seeds=args.seeds))
-    if args.json:
-        print(json.dumps(summary, separators=(",", ":")))
-    else:
-        print(json.dumps(summary, indent=2))
+    layout = {"separators": (",", ":")} if args.json else {"indent": 2}
+    print(json.dumps(summary, allow_nan=False, **layout))
     return 0 if summary["all_pass"] else 1
 
 

@@ -111,6 +111,37 @@ def project_rows_oracle(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (a @ v) @ v.T
 
 
+# Orthonormality and reconstruction tolerances of the factor contract.
+TAU_ORTH = 1e-10
+TAU_RECON = 1e-10
+
+
+def reconstruct(f) -> np.ndarray:
+    """``u @ diag(s) @ v.T`` of a thin SVD."""
+    return (f.u * f.s) @ f.v.T
+
+
+def validate_factors(f, a) -> None:
+    """Assert the factor contract of a thin SVD of ``a``: orthonormal
+    columns, sorted spectrum, faithful reconstruction."""
+    arr = np.asarray(a, dtype=np.float64)
+    r = f.s.size
+    if f.u.shape != (arr.shape[0], r) or f.v.shape != (arr.shape[1], r):
+        raise AssertionError("factor shapes do not match input")
+    if r and np.any(np.diff(f.s) > 0):
+        raise AssertionError("singular values are not non-increasing")
+    if r and f.s[-1] < 0:
+        raise AssertionError("negative singular value")
+    if r:
+        iu = f.u.T @ f.u - np.eye(r)
+        iv = f.v.T @ f.v - np.eye(r)
+        if np.abs(iu).max() > TAU_ORTH or np.abs(iv).max() > TAU_ORTH:
+            raise AssertionError("factor columns are not orthonormal")
+    scale = max(1.0, float(np.abs(arr).max(initial=0.0)))
+    if np.abs(reconstruct(f) - arr).max(initial=0.0) > TAU_RECON * scale:
+        raise AssertionError("reconstruction drifts beyond tolerance")
+
+
 def removed_row_residuals(q: np.ndarray) -> np.ndarray:
     """For each row index j, squared Frobenius residual of q against q minus row j.
 
@@ -168,3 +199,50 @@ def fd_lapack_oracle(rows, ell: int, buffer_rows: int):
     q = np.zeros((ell, d))
     q[: min(ell, buf.shape[0])] = buf[:ell]
     return q, delta_sum
+
+
+def rowspace_oracle(x: np.ndarray, rel_cut: float = 1e-12) -> np.ndarray:
+    """Orthonormal basis (columns) of the row space of a flushed sketch's rows.
+
+    Flushed sketch rows are ``diag(s) V^T``, mutually orthogonal, so modified
+    Gram-Schmidt (run twice) over the rows by descending norm is stable; rows
+    whose norm is at most ``rel_cut`` times the largest are dropped, the
+    library's pseudoinverse convention on singular values.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    norms = np.sqrt((x * x).sum(axis=1))
+    top = norms.max(initial=0.0)
+    basis: list[np.ndarray] = []
+    for i in np.argsort(-norms, kind="stable"):
+        if norms[i] <= rel_cut * top:
+            break
+        v = x[i].copy()
+        for _ in range(2):
+            for b in basis:
+                v -= (v @ b) * b
+        basis.append(v / math.sqrt(v @ v))
+    return np.array(basis).T.reshape(x.shape[1], len(basis))
+
+
+def report_oracle(a: np.ndarray, q: np.ndarray, qk: np.ndarray, k: int) -> dict:
+    """The raw quantities of an ``ErrorReport``, from the materialized stream.
+
+    Residuals are formed as matrices and summed exactly: ``A - A_k`` with
+    ``A_k`` from the Jacobi route, ``A - proj_{Q_k}(A)`` with the basis of
+    ``rowspace_oracle``. The directional gaps are the extreme Jacobi
+    eigenvalues of ``A^T A - Q^T Q``.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    ak = rank_k_oracle(a, k)
+    basis = rowspace_oracle(qk)
+    w, _ = jacobi_eigh(a.T @ a - q.T @ q)
+    return {
+        "frob_a_sq": exact_frob_sq(a),
+        "frob_q_sq": exact_frob_sq(q),
+        "frob_qk_sq": exact_frob_sq(qk),
+        "max_dir_gap": float(w[0]),
+        "min_dir_gap": float(w[-1]),
+        "rank_k_residual_sq": exact_frob_sq(a - ak),
+        "rank_k_mass_sq": exact_frob_sq(ak),
+        "proj_residual_sq": exact_frob_sq(a - (a @ basis) @ basis.T),
+    }

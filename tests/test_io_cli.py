@@ -104,6 +104,66 @@ def test_empty_streams(tmp_path):
     assert read_rows(str(b)).shape == (0, 4)
 
 
+def test_reader_knows_its_width_before_the_first_row(tmp_path):
+    c = tmp_path / "rows.csv"
+    c.write_text("\n\n1.0,2.0,3.0\n4.0,5.0,6.0\n")
+    b = str(tmp_path / "rows.bin")
+    write_rows(b, np.ones((2, 3)), "binary")
+    empty = tmp_path / "empty.csv"
+    empty.write_text("\n")
+    for path, d in ((str(c), 3), (b, 3), (str(empty), None)):
+        with fio.RowReader(path) as rows:
+            assert rows.d == d and rows.rows_read == 0
+    with fio.RowReader(str(c)) as rows:
+        with pytest.raises(RowStreamError, match=r"rows\.csv:3: stream has 3 columns, expected 2"):
+            rows.check_width(2)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "binary"])
+def test_reader_blocks_are_fresh_and_sized(tmp_path, fmt):
+    d = 300
+    size = fio.block_rows_for(d)
+    assert size == fio.BLOCK_BYTES // (8 * d)
+    rows = np.random.default_rng(20).normal(size=(2 * size + 3, d))
+    path = str(tmp_path / f"rows.{fmt}")
+    write_rows(path, rows, fmt)
+    with fio.RowReader(path) as stream:
+        blocks = list(stream.blocks())
+        assert stream.rows_read == rows.shape[0]
+    assert [len(b) for b in blocks] == [size, size, 3]
+    assert np.concatenate(blocks).tobytes() == rows.tobytes()
+    assert not np.shares_memory(blocks[0], blocks[1])
+    assert all(b.flags.writeable for b in blocks)
+
+
+def test_csv_reports_the_first_bad_line_of_a_block(tmp_path):
+    # rows are checked for finiteness a block at a time; an earlier
+    # non-finite row still wins over a later malformed one
+    path_obj = tmp_path / "rows.csv"
+    path_obj.write_text("1.0,2.0\n\n3.0,inf\n4.0,oops\n")
+    with pytest.raises(RowStreamError, match=r":3: non-finite"):
+        read_rows(str(path_obj))
+    path_obj.write_text("1.0,2.0\nnan,1.0\n4.0\n")
+    with pytest.raises(RowStreamError, match=r":2: non-finite"):
+        read_rows(str(path_obj))
+
+
+def test_reader_reads_rows_wider_than_a_block_in_pieces(tmp_path, monkeypatch):
+    # with 64-byte pieces a 160-byte row fills its block over three reads
+    monkeypatch.setattr(fio, "BLOCK_BYTES", 64)
+    rows = np.arange(60.0).reshape(3, 20)
+    path = str(tmp_path / "rows.bin")
+    write_rows(path, rows, "binary")
+    with fio.RowReader(path) as stream:
+        blocks = list(stream.blocks())
+    assert [b.shape for b in blocks] == [(1, 20)] * 3
+    assert np.concatenate(blocks).tobytes() == rows.tobytes()
+    with open(path, "ab") as fh:
+        fh.write(b"\x00" * 100)
+    with pytest.raises(RowStreamError, match=r":4: truncated row"):
+        read_rows(path)
+
+
 def test_write_rows_validation(tmp_path):
     with pytest.raises(ValueError, match="2-dimensional"):
         write_rows(str(tmp_path / "x.csv"), np.ones(3))
@@ -391,6 +451,110 @@ def test_cli_verify_checks_the_width_of_an_empty_binary_stream(tmp_path, capsys)
         rc, text, _ = _run(capsys, "verify", "--input", stream, "--sketch", sk)
         assert rc == 0
         assert json.loads(text)["all_pass"] is True
+
+
+def test_cli_verify_checks_a_huge_width_before_allocating(tmp_path, capsys):
+    # a d x d accumulator for 2**50 columns could never be allocated; the
+    # width check against the sketch rejects the stream before any is tried
+    sk = str(tmp_path / "s.fdsk")
+    save_sketch(sk, FdSketch(k=1, eps=1.0, d=2))
+    bogus = tmp_path / "wide.bin"
+    for body in (b"", b"\x00" * 64):
+        bogus.write_bytes(b"FDRW" + struct.pack("<Q", 2**50) + body)
+        rc, text, err = _run(capsys, "verify", "--input", str(bogus), "--sketch", sk)
+        assert rc == 2
+        assert text == ""
+        assert err == f"input error: {bogus}:0: stream has {2**50} columns, expected 2\n"
+
+
+def test_cli_verify_writes_strict_json_for_an_infinite_ratio(tmp_path, capsys):
+    # Q_k = (0, 0, 5) misses the stream's only row (3, 4, 0): the projection
+    # keeps none of |A|_F^2 = 25 while |A - A_1|_F^2 is 0, so the ratio is
+    # infinite, which JSON has no number for
+    stream = str(tmp_path / "row.csv")
+    write_rows(stream, [[3.0, 4.0, 0.0]], "csv")
+    sk = FdSketch(k=1, eps=0.5, d=3)
+    sk.append([0.0, 0.0, 5.0])
+    assert (sk.rows_seen, sk.input_frob_sq) == (1, 25.0)
+    path = str(tmp_path / "s.fdsk")
+    save_sketch(path, sk)
+
+    def reject(constant):
+        raise AssertionError(f"non-standard JSON constant {constant}")
+
+    for flags in ((), ("--json",)):
+        rc, text, _ = _run(capsys, "verify", "--input", stream, "--sketch", path, *flags)
+        assert rc == 1
+        payload = json.loads(text, parse_constant=reject)
+        assert payload["report"]["proj_err_ratio"] is None
+        assert payload["bounds"]["lemma6"] is False
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("fmt", ["csv", "binary"])
+def test_cli_verify_at_block_boundaries(tmp_path, capsys, fmt, offset):
+    d = 1000
+    n = fio.block_rows_for(d) + offset
+    rows = np.random.default_rng(21).normal(size=(n, d)) * np.logspace(0, -3, d)
+    stream = str(tmp_path / f"rows.{fmt}")
+    write_rows(stream, rows, fmt)
+    sk = FdSketch(k=3, eps=0.5, d=d, batch_factor=2.0)
+    sk.extend(rows)
+    path = str(tmp_path / "s.fdsk")
+    save_sketch(path, sk)
+    one = error_report(rows, sk)
+    with fio.RowReader(stream) as reader:
+        streamed = error_report(reader.blocks(), sk)
+        assert reader.rows_read == n
+    tol = 1e-12 * one.frob_a_sq
+    for field in ("frob_a_sq", "max_dir_gap", "min_dir_gap", "rank_k_residual_sq",
+                  "rank_k_mass_sq", "proj_residual_sq"):
+        assert abs(getattr(streamed, field) - getattr(one, field)) <= tol, field
+    rc, text, err = _run(capsys, "verify", "--input", stream, "--sketch", path, "--json")
+    assert rc == 0 and err == ""
+    assert json.loads(text)["report"]["frob_a_sq"] == streamed.frob_a_sq
+
+
+def test_cli_verify_reports_are_identical_for_csv_and_binary(tmp_path, capsys):
+    d = 400
+    rows = np.random.default_rng(22).normal(size=(2 * fio.block_rows_for(d) + 5, d))
+    sk = FdSketch(k=2, eps=0.5, d=d, batch_factor=2.0)
+    sk.extend(rows)
+    path = str(tmp_path / "s.fdsk")
+    save_sketch(path, sk)
+    texts = []
+    for fmt in ("csv", "binary"):
+        stream = str(tmp_path / f"rows.{fmt}")
+        write_rows(stream, rows, fmt)
+        rc, text, _ = _run(capsys, "verify", "--input", stream, "--sketch", path)
+        assert rc == 0
+        texts.append(text)
+    assert texts[0] == texts[1]
+
+
+def test_cli_verify_reports_a_bad_row_after_the_first_block(tmp_path, capsys):
+    d = 200
+    size = fio.block_rows_for(d)
+    rows = np.random.default_rng(23).normal(size=(size + 4, d))
+    sk = FdSketch(k=1, eps=0.5, d=d)
+    sk.extend(rows)
+    path = str(tmp_path / "s.fdsk")
+    save_sketch(path, sk)
+    good = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+    bad_row = ",".join(["1.0"] * (d - 1) + ["oops"]) + "\n"
+    csv_in = tmp_path / "rows.csv"
+    # two blank lines first: line numbers run two ahead of row numbers
+    csv_in.write_text("\n\n" + good + bad_row)
+    rc, text, err = _run(capsys, "verify", "--input", str(csv_in), "--sketch", path)
+    assert rc == 2 and text == ""
+    assert f"rows.csv:{size + 7}: bad number" in err
+    bin_in = tmp_path / "rows.bin"
+    write_rows(str(bin_in), rows, "binary")
+    with open(bin_in, "ab") as fh:
+        fh.write(b"\x00" * 12)
+    rc, text, err = _run(capsys, "verify", "--input", str(bin_in), "--sketch", path)
+    assert rc == 2 and text == ""
+    assert f"rows.bin:{size + 5}: truncated row" in err
 
 
 def test_cli_merge_rejects_overflowing_input_mass(tmp_path, capsys):

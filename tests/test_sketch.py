@@ -14,7 +14,7 @@ from fdsketch.sketch import (
     error_report,
     sketch_rows_for,
 )
-from oracles import exact_frob_sq, fd_lapack_oracle
+from oracles import exact_frob_sq, fd_lapack_oracle, report_oracle
 
 
 def test_sketch_rows_examples():
@@ -511,6 +511,60 @@ def test_report_wire_keys():
         "lemma8_high",
     ]
     assert rep.all_ok
+
+
+def _report_streams():
+    rng = np.random.default_rng(18)
+    rank3 = rng.normal(size=(100, 3)) @ rng.normal(size=(3, 40))
+    low_rank = rng.normal(size=(300, 8)) @ rng.normal(size=(8, 40))
+    return {
+        "shard-merge shape, 6/4 decades": (_ill_scaled(rng, 160, 80, 6, 4), 10, 1.0),
+        "12/12 decades": (_ill_scaled(rng, 150, 60, 12, 12), 5, 2.0),
+        "exact rank 3 at k=5": (rank3, 5, 1.0),
+        "n < d": (rng.normal(size=(30, 80)), 4, 1.0),
+        "n > d": (low_rank + 0.05 * rng.normal(size=(300, 40)), 3, 2.0),
+    }
+
+
+@pytest.mark.parametrize("name", list(_report_streams()))
+def test_streaming_report_matches_materialized_oracle(name):
+    rows, k, batch_factor = _report_streams()[name]
+    s = FdSketch(k=k, eps=0.5, d=rows.shape[1], batch_factor=batch_factor)
+    s.extend(rows)
+    # the report streams in row blocks; the oracle holds the whole matrix
+    blocks = iter(np.array_split(rows, 7))
+    rep = error_report(blocks, s)
+    want = report_oracle(rows, s.query(), s.query_topk(), k)
+    tol = 1e-12 * want["frob_a_sq"]
+    for field, value in want.items():
+        assert abs(getattr(rep, field) - value) <= tol, field
+    assert rep.delta_sum == s.delta_sum
+    assert rep.frob_identity_residual == abs(rep.frob_a_sq - rep.frob_q_sq - s.ell * s.delta_sum)
+    assert rep.qk_norm_bounds == (0.5 * rep.rank_k_mass_sq, rep.rank_k_mass_sq)
+    # the ratio of two residuals, each within tol
+    p, r = want["proj_residual_sq"], want["rank_k_residual_sq"]
+    if r > 1e-9 * want["frob_a_sq"]:
+        assert abs(rep.proj_err_ratio - p / r) <= (tol + p / r * tol) / (r - tol)
+    else:
+        assert rep.proj_err_ratio == 1.0
+    assert rep.all_ok
+
+
+def test_report_is_one_block_of_the_stream():
+    rng = np.random.default_rng(19)
+    rows = rng.normal(size=(60, 12))
+    s = FdSketch(k=2, eps=0.5, d=12)
+    s.extend(rows)
+    one = error_report(rows, s)
+    tol = 1e-12 * one.frob_a_sq
+    for blocks in (iter([rows]), iter(rows), iter(np.array_split(rows, 5))):
+        rep = error_report(blocks, s)
+        for field in ("frob_a_sq", "max_dir_gap", "min_dir_gap",
+                      "rank_k_residual_sq", "rank_k_mass_sq", "proj_residual_sq"):
+            assert abs(getattr(rep, field) - getattr(one, field)) <= tol, field
+    assert error_report(iter([rows]), s) == one
+    with pytest.raises(ValueError, match="columns"):
+        error_report(iter([rows[:3], rows[3:, :5]]), s)
 
 
 @settings(max_examples=60, deadline=None)
