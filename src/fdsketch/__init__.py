@@ -33,10 +33,24 @@ from .counterexamples import (
     sparse_fd_check,
     sparse_feasibility_grid,
 )
-from .verify import TrialConfig, TrialOutcome, default_grid, run_suite, run_trial
 from .io import load_sketch, read_rows, save_sketch, write_rows
 
 __version__ = "0.1.0"
+
+# loaded on first use, so that ``python -m fdsketch.verify`` does not find the
+# module already imported by the package and run it twice
+_VERIFY_NAMES = frozenset(
+    {"TrialConfig", "TrialOutcome", "default_grid", "run_suite", "run_trial"}
+)
+
+
+def __getattr__(name: str):
+    if name in _VERIFY_NAMES:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "FdSketch",

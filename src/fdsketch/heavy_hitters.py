@@ -6,10 +6,23 @@ decrements every counter by one and is itself discarded. Estimates are
 therefore never above the true frequency, and each of the ``r`` decrement
 rounds destroys ``capacity + 1`` units of count mass, which is where the
 error guarantees come from.
+
+Labels are found through a dict, so they compare like dict keys: equal hash,
+then identity or ``==``. Labels that are equal collapse to one counter
+(``1``, ``1.0`` and ``True`` share a slot); a label that is not equal to
+itself, such as NaN, matches only the very object that claimed the slot.
+
+Cost: a hit, a slot claim and an :meth:`MgSummary.estimate` take O(1)
+expected time. A decrement round walks the occupied slots once, which is
+O(capacity), but it removes ``capacity + 1`` units of count that arrivals
+put in, so a stream of n arrivals spends O(n) on all rounds together:
+amortized O(1) per arrival. Storage grows with the labels seen, so memory is
+O(min(capacity, distinct labels)).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop
 from typing import Hashable, Iterable, Mapping
 
 
@@ -20,29 +33,51 @@ class MgSummary:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
-        self._slots: list[tuple[Hashable, int] | None] = [None] * self.capacity
+        # slot i holds _labels[i] with _counts[i] > 0, or is free with count 0;
+        # slots are appended until ``capacity`` exist, then only reused
+        self._labels: list[Hashable] = []
+        self._counts: list[int] = []
+        self._slot_of: dict[Hashable, int] = {}
+        # min-heap of free slots, so the lowest-indexed one is claimed first
+        # and replays stay bit-identical
+        self._free: list[int] = []
         self.n_processed = 0
         self.decrement_total = 0
 
     def update(self, item: Hashable) -> None:
         """Fold one arrival into the summary."""
         self.n_processed += 1
-        slots = self._slots
-        free = -1
-        for i, slot in enumerate(slots):
-            if slot is not None and slot[0] == item:
-                slots[i] = (item, slot[1] + 1)
-                return
-            if slot is None and free < 0:
-                free = i
-        if free >= 0:
-            # lowest-indexed empty slot wins, keeps replays bit-identical
-            slots[free] = (item, 1)
+        slot = self._slot_of.get(item)
+        if slot is not None:
+            # the slot reports the label as it last arrived (1.0 after 1)
+            self._labels[slot] = item
+            self._counts[slot] += 1
             return
+        if self._free:
+            slot = heappop(self._free)
+            self._labels[slot] = item
+            self._counts[slot] = 1
+        elif len(self._counts) < self.capacity:
+            slot = len(self._counts)
+            self._labels.append(item)
+            self._counts.append(1)
+        else:
+            self._decrement_all()
+            return
+        self._slot_of[item] = slot
+
+    def _decrement_all(self) -> None:
+        """The round a full summary runs for an arrival it has no slot for."""
         self.decrement_total += 1
-        for i, slot in enumerate(slots):
-            label, count = slot  # type: ignore[misc]
-            slots[i] = None if count == 1 else (label, count - 1)
+        counts = [count - 1 for count in self._counts]
+        # ascending, hence already a valid heap; the heap was empty, since
+        # a round runs only when every slot is taken
+        freed = [slot for slot, count in enumerate(counts) if not count]
+        for slot in freed:
+            del self._slot_of[self._labels[slot]]
+            self._labels[slot] = None
+        self._counts = counts
+        self._free = freed
 
     def extend(self, items: Iterable[Hashable]) -> None:
         for item in items:
@@ -50,14 +85,17 @@ class MgSummary:
 
     def estimate(self, item: Hashable) -> int:
         """Stored count for ``item``, or 0 when it holds no slot."""
-        for slot in self._slots:
-            if slot is not None and slot[0] == item:
-                return slot[1]
-        return 0
+        slot = self._slot_of.get(item)
+        return 0 if slot is None else self._counts[slot]
 
     def items(self) -> dict[Hashable, int]:
-        """Currently tracked labels and their counters (counts > 0 only)."""
-        return {slot[0]: slot[1] for slot in self._slots if slot is not None}
+        """Currently tracked labels and their counters (counts > 0 only), in
+        slot order."""
+        return {
+            label: count
+            for label, count in zip(self._labels, self._counts)
+            if count
+        }
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ through a hand-written cyclic Jacobi eigensolver on Gram matrices. Slow but
 trustworthy at test sizes. The one exception is ``fd_lapack_oracle``, the
 reference for the sketch's Gram-route shrink kernel, which shrinks through
 LAPACK's SVD of the buffer itself and so shares no factorization with it.
+``mg_linear_oracle`` is the heavy-hitters summary as a plain scan of its
+slots, the reference for the indexed ``MgSummary``.
 """
 from __future__ import annotations
 
@@ -246,3 +248,52 @@ def report_oracle(a: np.ndarray, q: np.ndarray, qk: np.ndarray, k: int) -> dict:
         "rank_k_mass_sq": exact_frob_sq(ak),
         "proj_residual_sq": exact_frob_sq(a - (a @ basis) @ basis.T),
     }
+
+
+class LinearMgSummary:
+    """Misra-Gries counters kept as a fixed list of slots scanned with ``==``
+    on every arrival and every estimate: O(capacity) per call, and
+    capacity-sized from the start."""
+
+    def __init__(self, capacity: int):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = int(capacity)
+        self._slots = [None] * self.capacity
+        self.n_processed = 0
+        self.decrement_total = 0
+
+    def update(self, item) -> None:
+        self.n_processed += 1
+        slots = self._slots
+        free = -1
+        for i, slot in enumerate(slots):
+            if slot is not None and slot[0] == item:
+                slots[i] = (item, slot[1] + 1)
+                return
+            if slot is None and free < 0:
+                free = i
+        if free >= 0:
+            slots[free] = (item, 1)
+            return
+        self.decrement_total += 1
+        for i, slot in enumerate(slots):
+            label, count = slot
+            slots[i] = None if count == 1 else (label, count - 1)
+
+    def estimate(self, item) -> int:
+        for slot in self._slots:
+            if slot is not None and slot[0] == item:
+                return slot[1]
+        return 0
+
+    def items(self) -> dict:
+        return {slot[0]: slot[1] for slot in self._slots if slot is not None}
+
+
+def mg_linear_oracle(items, capacity: int) -> LinearMgSummary:
+    """The linear-scan summary after folding in ``items``."""
+    summary = LinearMgSummary(capacity)
+    for item in items:
+        summary.update(item)
+    return summary

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from fdsketch.heavy_hitters import MgCertificate, MgSummary, error_certificate
 from fdsketch.verify import zipf_item_stream
+from oracles import mg_linear_oracle
 
 
 def test_capacity_must_be_positive():
@@ -146,3 +147,78 @@ def test_zipf_streams_meet_integer_bounds(capacity, seed):
     assert cert.topk_mass_bound_ok
     # per item the gap stays under the residual spread across free counters
     assert cert.max_item_gap * (capacity - 2) <= cert.residual_mass
+
+
+def _assert_same_summary(summary, oracle, probes):
+    def typed(state):
+        return [(type(label), label, count) for label, count in state.items().items()]
+
+    assert typed(summary) == typed(oracle)
+    assert summary.decrement_total == oracle.decrement_total
+    assert summary.n_processed == oracle.n_processed
+    for label in probes:
+        assert summary.estimate(label) == oracle.estimate(label)
+
+
+# 1, 1.0 and True are one label to the scan and to the index alike
+MIXED_LABELS = st.one_of(
+    st.integers(-2, 3),
+    st.sampled_from(["a", "b", "c"]),
+    st.tuples(st.integers(0, 1), st.sampled_from(["x", "y"])),
+    st.sampled_from([1, 1.0, True]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(MIXED_LABELS, max_size=120), st.integers(1, 8))
+def test_index_matches_linear_scan_on_mixed_labels(stream, capacity):
+    summary = MgSummary(capacity)
+    summary.extend(stream)
+    probes = stream + [99, "zz", (5, "x"), 2.5]
+    _assert_same_summary(summary, mg_linear_oracle(stream, capacity), probes)
+
+
+def test_index_matches_linear_scan_on_zipf_at_capacity_128():
+    stream = zipf_item_stream(20000, universe=1000, seed=11, exponent=1.1).tolist()
+    summary = MgSummary(128)
+    summary.extend(stream)
+    oracle = mg_linear_oracle(stream, 128)
+    assert oracle.decrement_total > 0
+    _assert_same_summary(summary, oracle, range(1000))
+
+
+def test_storage_grows_with_labels_not_capacity():
+    # a capacity-sized slot table would not fit in memory here
+    s = MgSummary(10**12)
+    s.extend([1, 2, 1])
+    assert list(s.items().items()) == [(1, 2), (2, 1)]
+    assert s.estimate(1) == 2
+    assert s.decrement_total == 0
+
+
+def test_hit_and_estimate_cost_at_most_two_comparisons():
+    eq_calls = 0
+
+    class Label:
+        def __init__(self, key):
+            self.key = key
+
+        def __hash__(self):
+            return hash(self.key)
+
+        def __eq__(self, other):
+            nonlocal eq_calls
+            eq_calls += 1
+            return isinstance(other, Label) and self.key == other.key
+
+    s = MgSummary(128)
+    s.extend(Label(i) for i in range(128))
+    eq_calls = 0
+    # fresh but equal objects, so identity cannot stand in for a comparison;
+    # a scan would spend i + 1 comparisons on a hit of slot i
+    s.extend(Label(j % 128) for j in range(10_000))
+    assert s.decrement_total == 0
+    assert eq_calls <= 2 * 10_000
+    eq_calls = 0
+    assert sum(s.estimate(Label(j % 128)) for j in range(10_000)) > 0
+    assert eq_calls <= 2 * 10_000

@@ -2,6 +2,7 @@ import json
 import struct
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +20,10 @@ from fdsketch.io import (
     sniff_format,
     write_rows,
 )
+from fdsketch.heavy_hitters import error_certificate
 from fdsketch.sketch import FdSketch, error_report
+from fdsketch.verify import zipf_item_stream
+from oracles import mg_linear_oracle
 
 TRICKY = np.array(
     [
@@ -709,6 +713,46 @@ def test_cli_hh_parameter_errors(tmp_path, capsys):
     rc, _, err = _run(capsys, "hh", "--input", str(stream), "--ell", "3")
     assert rc == 2
     assert "bad item id" in err
+
+
+def test_cli_hh_bad_item_names_its_line_after_blank_lines(tmp_path, capsys):
+    stream = tmp_path / "items.txt"
+    stream.write_text("1\n\n\npotato\n")
+    rc, text, err = _run(capsys, "hh", "--input", str(stream), "--ell", "3")
+    assert rc == 2
+    assert text == ""
+    assert "items.txt:4:" in err
+
+
+def test_cli_hh_report_matches_linear_scan_oracle(tmp_path, capsys):
+    items = zipf_item_stream(5000, universe=400, seed=7, exponent=1.1).tolist()
+    stream = tmp_path / "items.txt"
+    stream.write_text("".join(f"{x}\n" for x in items))
+    ell, k = 32, 4
+    rc, text, _ = _run(capsys, "hh", "--input", str(stream), "--ell", str(ell),
+                       "--k", str(k))
+    assert rc == 0
+    oracle = mg_linear_oracle(items, ell)
+    assert oracle.decrement_total > 0
+    cert = error_certificate(oracle, Counter(items), k)
+    expected = {
+        "command": "hh",
+        "ell": ell,
+        "n": len(items),
+        "decrements": oracle.decrement_total,
+        "items": [
+            {"item": label, "estimate": count}
+            for label, count in sorted(oracle.items().items(),
+                                       key=lambda kv: (-kv[1], kv[0]))
+        ],
+        "certificate": {
+            name: getattr(cert, name)
+            for name in ("k", "decrements", "top_k_mass", "top_k_mass_est",
+                         "residual_mass", "max_item_gap", "decrement_bound_ok",
+                         "topk_mass_bound_ok")
+        },
+    }
+    assert text == json.dumps(expected, indent=2) + "\n"
 
 
 def test_cli_adversary_writes_stream_and_ratios(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -141,3 +143,14 @@ def test_main_small_grid_exits_zero(capsys):
     parsed = json.loads(captured.out)
     assert parsed["all_pass"] is True
     assert len(parsed["trials"]) == 36
+
+
+def test_module_runs_once_without_import_warning():
+    # the package must not import fdsketch.verify before runpy executes it
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "fdsketch.verify",
+         "--json"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["all_pass"] is True
