@@ -9,10 +9,13 @@ failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import io as fio
 from .counterexamples import (
@@ -23,7 +26,7 @@ from .counterexamples import (
     sparse_feasibility_grid,
 )
 from .heavy_hitters import MgSummary, error_certificate
-from .sketch import FdSketch, error_report, sketch_rows_for
+from .sketch import FdParams, FdSketch, error_report, sketch_rows_for
 
 
 # ErrorReport fields in verify's "report", after "rows"; each keeps its name
@@ -62,16 +65,15 @@ def _sketch_payload(command: str, out: str, sk: FdSketch, geometry: Sequence[str
 
 def _cmd_sketch(args) -> int:
     with fio.RowReader(args.input, args.format) as stream:
-        rows = fio.iter_rows(stream)
-        # read a row before the width sizes the buffer, so a bogus width over
-        # a short body fails as malformed input, not as an allocation
-        first = next(rows, None)
         # an empty CSV carries no width; d=1 by convention
-        sk = FdSketch(k=args.k, eps=args.eps, d=stream.d or 1, batch_factor=args.c)
-        if first is not None:
-            sk.append(first)
-        for row in rows:
-            sk.append(row)
+        params = FdParams.create(args.k, args.eps, stream.d or 1, args.c)
+        blocks = stream.blocks(params.buffer_rows)
+        # read a block before the width sizes the buffer, so a bogus width
+        # over a short body fails as malformed input, not as an allocation
+        first = list(itertools.islice(blocks, 1))
+        sk = FdSketch._from_state(params, np.zeros((params.buffer_rows, params.d)), 0, 0.0, 0.0)
+        for block in itertools.chain(first, blocks):
+            sk.extend(block)
     fio.save_sketch(args.out, sk)
     geometry = ("k", "eps", "ell", "buffer_rows", "d")
     _emit(_sketch_payload("sketch", args.out, sk, geometry), args.json)
@@ -121,8 +123,11 @@ def _cmd_hh(args) -> int:
     else:
         print("hh: need --ell, or both --k and --eps", file=sys.stderr)
         return 2
+    if args.k is not None and not 0 < args.k < ell:
+        raise ValueError(f"--k {args.k} must satisfy 0 < k < ell = {ell} for a certificate")
     summary = MgSummary(ell)
-    exact: dict[int, int] = {}
+    # the exact histogram grows with the distinct labels; only --k needs it
+    exact: Optional[dict[int, int]] = {} if args.k is not None else None
     with open(args.input, "r", encoding="ascii") as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.strip()
@@ -134,7 +139,8 @@ def _cmd_hh(args) -> int:
                 print(f"{args.input}:{line_no}: bad item id {text!r}", file=sys.stderr)
                 return 2
             summary.update(item)
-            exact[item] = exact.get(item, 0) + 1
+            if exact is not None:
+                exact[item] = exact.get(item, 0) + 1
     payload: dict = {
         "command": "hh",
         "ell": ell,
@@ -147,7 +153,7 @@ def _cmd_hh(args) -> int:
             )
         ],
     }
-    if args.k is not None and 0 < args.k < ell:
+    if exact is not None:
         cert = error_certificate(summary, exact, args.k)
         payload["certificate"] = {
             "k": cert.k,

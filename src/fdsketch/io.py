@@ -5,8 +5,8 @@ Row streams
     written with shortest-round-trip repr so CSV and binary carry identical
     bits. Binary: magic ``FDRW``, then d as u64 little-endian, then float64
     little-endian values row-major. ``RowReader`` reads either format once,
-    row by row or in blocks of at most ``BLOCK_BYTES``, and knows d before
-    the first row.
+    row by row or in blocks (of at most ``BLOCK_BYTES`` unless a row count is
+    asked for), and knows d before the first row.
 
 Sketch record
     Magic ``FDSK``, version u16, then k, ell, m, d, rows_seen as u64 LE,
@@ -99,9 +99,9 @@ class RowReader:
     ``d`` comes from the header of a binary stream and from the first
     nonblank line of a CSV; an empty CSV has ``d = None``. Iterating yields
     the rows one at a time; ``blocks()`` yields them as (rows, d) float64
-    arrays of ``block_rows_for(d)`` rows (fewer in the last one). Every array
-    handed out is fresh, never a view of a buffer the reader reuses, so
-    callers may keep them. ``rows_read`` counts the rows handed out so far.
+    arrays of ``block_rows_for(d)`` rows, or of a given count (fewer in the
+    last one). Every array handed out is fresh, never a view of a buffer the
+    reader reuses, so callers may keep them. ``rows_read`` counts the rows handed out so far.
     Malformed data raises ``RowStreamError`` with the 1-based line (CSV) or
     row (binary) number; the header of a binary stream is line 0. The file
     is closed once the stream is exhausted, or by ``close()``.
@@ -155,11 +155,12 @@ class RowReader:
                 self.path, self._width_line, f"stream has {self.d} columns, expected {d}"
             )
 
-    def blocks(self) -> Iterator[np.ndarray]:
-        """The remaining rows in blocks of ``block_rows_for(d)`` rows."""
+    def blocks(self, rows: Optional[int] = None) -> Iterator[np.ndarray]:
+        """The remaining rows in blocks of ``rows`` rows, by default
+        ``block_rows_for(d)``."""
         if self.d is None:
             return iter(())
-        return self._blocks(block_rows_for(self.d))
+        return self._blocks(rows or block_rows_for(self.d))
 
     def __iter__(self) -> "RowReader":
         return self
@@ -242,14 +243,9 @@ class RowReader:
                 return
 
 
-def iter_rows(source, fmt: Optional[str] = None) -> RowReader:
-    """Rows of a stream one at a time. ``source`` is a path (``fmt=None``
-    sniffs the magic) or a ``RowReader`` already open, which is returned as
-    it is: the CLI opens its stream first to learn the width, then streams
-    the rows through this name, which the benchmark's tracer times."""
-    if isinstance(source, RowReader):
-        return source
-    return RowReader(source, fmt)
+def iter_rows(path: str, fmt: Optional[str] = None) -> RowReader:
+    """Rows of a stream one at a time; ``fmt=None`` sniffs the magic."""
+    return RowReader(path, fmt)
 
 
 def read_rows(path: str, fmt: Optional[str] = None) -> np.ndarray:

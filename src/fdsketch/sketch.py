@@ -16,13 +16,24 @@ The factorization is the eigendecomposition of the small m x m Gram matrix
 When that route cannot resolve the spectrum (a rank-deficient or badly
 conditioned buffer, or one at least as tall as it is wide) the buffer goes
 through LAPACK's thin SVD instead; ``FdSketch.compress`` states the exact
-cutoff.
+cutoff. The rows a compression writes are mutually orthogonal, so their Gram
+matrix is the diagonal ``max(s^2 - delta, 0)``: the sketch carries it, and
+the next compression computes only the Gram rows of the rows stored since,
+O(ell d) per row at batch factor 1 instead of O(ell^2 d). It rebuilds
+``B B^T`` in full after a load or a fallback and at least every
+``min(ell, 2^10)`` compressions, which keeps the carried matrix's rounding
+drift a factor 4 inside the fallback cutoff (``compress`` gives the budget).
 
-That is the one compression trigger, at every batch factor. With
-``batch_factor == 1`` (``m == ell``) a shrink leaves at most ``ell - 1``
-nonzero rows, so once the buffer has first filled every nonzero row costs one
-factorization: the classical per-row variant. Larger batch factors trade
-memory for fewer factorizations without changing any guarantee.
+Running out of zero rows is the one compression trigger, at every batch
+factor. With ``batch_factor == 1`` (``m == ell``) a shrink leaves at most
+``ell - 1`` nonzero rows, so once the buffer has first filled every nonzero
+row costs one factorization: the classical per-row variant. Larger batch
+factors trade memory for fewer factorizations without changing any guarantee.
+
+Rows enter through one step for ``append``, ``extend`` and the CLI: a block
+is validated (width, finite entries, row norms) in one vectorized pass and
+its nonzero rows are copied into free slots a slice at a time, so the
+result depends only on the row sequence, not on how it was cut into blocks.
 
 Writing ``Delta`` for the running sum of shrink values, the sketch promises,
 deterministically, for every direction x with |x| = 1:
@@ -188,6 +199,11 @@ class FdSketch:
         # merge and controls how tight the lost-mass accounting can be
         self._bracket_rows = params.buffer_rows
         self.compress_hook = compress_hook
+        # Gram diagonal of the rows the last compression wrote, and the
+        # compressions since the Gram matrix was last built in full; None
+        # makes the next compression rebuild it (see ``compress``)
+        self._carried: Optional[np.ndarray] = None
+        self._gram_age = 0
 
     # -- bookkeeping views ------------------------------------------------
 
@@ -240,40 +256,97 @@ class FdSketch:
     # -- core operations --------------------------------------------------
 
     def append(self, row) -> None:
-        """Consume one stream row.
+        """Consume one stream row: a one-row block of ``extend``.
 
         A row is rejected with ``ValueError`` before any counter moves when
         it has the wrong length, a non-finite entry, or a squared norm that
         overflows float64 on its own or added to ``input_frob_sq``; the
         sketch is then exactly as before the call. Rows are never rescaled.
         """
-        r = np.asarray(row, dtype=np.float64).reshape(-1)
-        if r.size != self.params.d:
-            raise ValueError(f"row has {r.size} entries, expected {self.params.d}")
-        if not np.isfinite(r).all():
-            raise ValueError("row contains non-finite entries")
-        with np.errstate(over="ignore"):
-            norm_sq = float(r @ r)
-        if not math.isfinite(self._frob_acc.value + norm_sq):
-            raise ValueError("row's squared norm overflows the running |A|_F^2")
-        self._rows_seen += 1
-        self._frob_acc.add(norm_sq)
-        if norm_sq != 0.0:
-            # a zero row contributes nothing; claiming a slot would only break
-            # the "leading rows are nonzero" layout the serializer relies on
-            self._insert(r)
+        self._ingest(np.asarray(row, dtype=np.float64).reshape(1, -1))
 
-    def _insert(self, r: np.ndarray) -> None:
-        """Store a nonzero row in the next slot; compress once none is free."""
-        self._buf[self._nonzero] = r
-        self._nonzero += 1
-        self._pending += 1
-        if self._nonzero == self.params.buffer_rows:
-            self.compress()
+    def extend(self, rows) -> None:
+        """Consume stream rows in order.
 
-    def extend(self, rows: Iterable) -> None:
-        for row in rows:
-            self.append(row)
+        A 2-D numeric array is ingested as one block: validated at once,
+        counted row by row, and copied into free buffer slots a slice at a
+        time. Any other iterable goes through ``append`` row by row. Both
+        end in the same step, so the sketch is bit-identical to appending
+        the rows one at a time, however they are cut into blocks. A bad row
+        at index j raises ``append``'s ``ValueError`` after rows ``[:j]``
+        have been consumed, exactly as appending them would have.
+        """
+        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "biuf":
+            self._ingest(rows)
+        else:
+            for row in rows:
+                self.append(row)
+
+    def _ingest(self, block: np.ndarray) -> None:
+        """The one ingest step: validate, count and store a block of rows.
+
+        The width is checked and the squared row norms computed for the
+        whole block at once; a non-finite entry makes its row's norm
+        non-finite, so the per-row overflow check of the compensated
+        ``|A|_F^2`` add, the only per-row work left, also finds it. A zero
+        row is counted and not stored: claiming a slot would only break the
+        "leading rows are nonzero" layout the serializer relies on.
+        """
+        n, d = block.shape
+        if n == 0:
+            return
+        if d != self.params.d:
+            raise ValueError(f"row has {d} entries, expected {self.params.d}")
+        block = np.ascontiguousarray(block, dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # one dot product per row, bit for bit ``row @ row``
+            norms = np.matmul(block[:, None, :], block[:, :, None]).reshape(n)
+        frob = self._frob_acc
+        start, stored, error = 0, 0, None
+        free = self.params.buffer_rows - self._nonzero
+        for i, norm_sq in enumerate(norms.tolist()):
+            if not math.isfinite(frob.value + norm_sq):
+                if np.isfinite(block[i]).all():
+                    error = "row's squared norm overflows the running |A|_F^2"
+                else:
+                    error = "row contains non-finite entries"
+                n = i
+                break
+            frob.add(norm_sq)
+            if norm_sq != 0.0:
+                stored += 1
+                if stored == free:
+                    # the buffer fills at row i: store up to it and compress
+                    # with the counters exactly as appending would leave them
+                    self._take(block, norms, start, i + 1, stored)
+                    start, stored = i + 1, 0
+                    free = self.params.buffer_rows - self._nonzero
+        self._take(block, norms, start, n, stored)
+        if error is not None:
+            raise ValueError(error)
+
+    def _take(self, block: np.ndarray, norms: np.ndarray, start: int, stop: int,
+              stored: int) -> None:
+        """Count rows ``start:stop`` of a validated block as seen and store
+        the ``stored`` nonzero ones among them."""
+        self._rows_seen += stop - start
+        if stored:
+            rows = block[start:stop]
+            self._store(rows if stored == stop - start else rows[norms[start:stop] != 0.0])
+
+    def _store(self, rows: np.ndarray) -> None:
+        """Copy nonzero rows into the free slots a slice at a time,
+        compressing each time no zero row is left."""
+        m = self.params.buffer_rows
+        while rows.shape[0]:
+            at = self._nonzero
+            take = min(m - at, rows.shape[0])
+            self._buf[at : at + take] = rows[:take]
+            self._nonzero += take
+            self._pending += take
+            if self._nonzero == m:
+                self.compress()
+            rows = rows[take:]
 
     def compress(self) -> float:
         """Factorize the buffer, shrink the spectrum, rewrite in rotated form.
@@ -283,17 +356,44 @@ class FdSketch:
         a pure rotation.
 
         Kernel. With ``B`` the m nonzero rows, ``r = min(ell, m)`` and
-        ``w, U`` the eigenpairs of the m x m Gram matrix ``B B^T`` (descending),
-        the shrink is ``delta = w[ell-1]`` (0 if m < ell) and the new rows are
-        ``diag(keep) U[:, :r]^T B`` with ``keep = sqrt(max(w - delta, 0) / w)``.
-        That costs O(m^2 d) and never forms the left factor of an SVD.
+        ``w, U`` the eigenpairs of the m x m Gram matrix ``G = B B^T``
+        (descending), the shrink is ``delta = w[ell-1]`` (0 if m < ell) and the
+        new rows are ``diag(keep) U[:, :r]^T B`` with
+        ``keep = sqrt(max(w - delta, 0) / w)``. They are written in place, and
+        only the slots that held rows are cleared. No left factor of an SVD
+        is ever formed.
+
+        Carried Gram matrix. The rows written are mutually orthogonal, with
+        Gram matrix ``diag(max(w[:r] - delta, 0))``; the sketch keeps that
+        diagonal for the rows still nonzero. The next compression then
+        computes only the rows of G that belong to the p rows stored since,
+        ``B[p:] B^T``, at O(p m d) instead of O(m^2 d): O(ell d) per row at
+        ``batch_factor == 1``. The update is made at compression time, so the
+        result depends only on the row sequence, not on how it was cut into
+        ``append``/``extend`` calls.
+
+        Rebuild rule and drift budget. The carried diagonal is exact only in
+        exact arithmetic: each compression adds about ``m * 2^-52 * w[0]`` of
+        rounding to what it claims for the rows it wrote (the eigensolver's
+        backward error, and the rounding of the rows themselves), and a later
+        compression passes that on undamped, because ``|diag(keep) U^T| <= 1``.
+        G is therefore rebuilt as ``B B^T`` on the first compression after
+        construction, ``_from_state`` (a load) or a fallback, and at least
+        every ``min(ell, 2^10)`` compressions. After at most 2^10 steps the
+        drift is at most ``2^10 * m * 2^-52 * w[0] = m * 2^-42 * w[0]``, a
+        factor 4 inside the fallback cutoff below; and rebuilding every
+        ``ell`` compressions costs O(m^2 d / ell) = O(ell d) per compression
+        at ``batch_factor == 1``. ``copy()`` keeps the carried diagonal, so a
+        copy compresses bit for bit as the original would.
 
         Soundness. The new buffer is ``W B`` with ``W = diag(keep) U^T`` and
         ``0 <= keep <= 1``, so ``B^T B - B'^T B' = B^T (I - W^T W) B`` is PSD by
-        construction: ``|Ax|^2 >= |Qx|^2`` does not rest on eigenvalue
-        accuracy. The upper side ``<= delta`` holds up to eigh's absolute
-        eigenvalue error, about ``m * 2^-52 * w[0]``: every kept ``w[j]`` is at
-        least delta, so dividing by it never amplifies that error.
+        construction, whatever G the eigenpairs came from: ``|Ax|^2 >= |Qx|^2``
+        does not rest on eigenvalue accuracy or on the carried diagonal. The
+        upper side ``<= delta`` holds up to the absolute error of ``w``, the
+        eigensolver's ``m * 2^-52 * w[0]`` plus the drift above: every kept
+        ``w[j]`` is at least delta, so dividing by it never amplifies that
+        error.
 
         Fallback. The Gram route runs only when ``0 < m < d`` and
         ``w[r-1] > m * 2^-40 * w[0]``, i.e. every eigenvalue it divides by
@@ -306,9 +406,10 @@ class FdSketch:
         by round-off squared, not by round-off.
         """
         before = self._buf.copy() if self.compress_hook is not None else None
-        gram = self._gram_shrink()
-        if gram is not None:
-            delta, scale, rows = gram
+        held = self._nonzero
+        shrunk = self._gram_shrink()
+        if shrunk is not None:
+            delta, scale, rotated, new_sq = shrunk
         else:
             f = svd_thin(self._buf)
             # square once and reuse: taking delta from the same array
@@ -318,34 +419,52 @@ class FdSketch:
             ell = self.params.ell
             delta = float(sq[ell - 1]) if sq.size >= ell else 0.0
             scale = np.sqrt(np.maximum(sq - delta, 0.0))
-            rows = scale[:, None] * f.v.T
-        self._buf[:] = 0.0
-        self._buf[: rows.shape[0]] = rows
+            rotated, new_sq = f.v.T, None
+        written = scale.size
+        np.multiply(scale[:, None], rotated, out=self._buf[:written])
+        self._buf[written:held] = 0.0
         # each new row is its scale times a nonzero row, and zero scales come
         # last, so the nonzero rows stay first
         self._nonzero = int(np.count_nonzero(scale))
+        self._carried = None if new_sq is None else new_sq[: self._nonzero]
         self._pending = 0
         self._delta_acc.add(delta)
         if self.compress_hook is not None:
             self.compress_hook(before, self._buf.copy(), delta)
         return delta
 
-    def _gram_shrink(self) -> Optional[tuple[float, np.ndarray, np.ndarray]]:
-        """``(delta, keep, rows)`` by the Gram route, or None to fall back."""
-        b = self._buf[: self._nonzero]
+    def _buffer_gram(self, b: np.ndarray) -> np.ndarray:
+        """Lower triangle of ``b b^T``, from the carried diagonal where the
+        rebuild rule in ``compress`` allows it."""
+        p = 0 if self._carried is None else self._carried.size
+        if p == 0 or self._gram_age >= min(self.params.ell, 2**10):
+            self._gram_age = 1
+            return b @ b.T
+        self._gram_age += 1
         m = b.shape[0]
+        gram = np.zeros((m, m))
+        gram.flat[: p * (m + 1) : m + 1] = self._carried
+        gram[p:] = b[p:] @ b.T
+        return gram
+
+    def _gram_shrink(self) -> Optional[tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
+        """``(delta, keep, U^T B, max(w - delta, 0))`` over the kept
+        directions by the Gram route, or None to fall back."""
+        m = self._nonzero
         if not 0 < m < self.params.d:
             return None
+        b = self._buf[:m]
         ell = self.params.ell
-        w, u = np.linalg.eigh(b @ b.T)
+        # eigh reads the lower triangle only
+        w, u = np.linalg.eigh(self._buffer_gram(b), UPLO="L")
         w, u = w[::-1], u[:, ::-1]
         r = min(ell, m)
         if not w[r - 1] > m * 2.0**-40 * w[0]:
             return None
         # delta comes from the same array w, so entry ell-1 shrinks to 0.0
         delta = float(w[ell - 1]) if m >= ell else 0.0
-        keep = np.sqrt(np.maximum(w[:r] - delta, 0.0) / w[:r])
-        return delta, keep, keep[:, None] * (u[:, :r].T @ b)
+        new_sq = np.maximum(w[:r] - delta, 0.0)
+        return delta, np.sqrt(new_sq / w[:r]), u[:, :r].T @ b, new_sq
 
     def flush(self) -> None:
         """Compress any rows appended since the last compression."""
@@ -391,8 +510,7 @@ class FdSketch:
         out = self.copy()
         donor = other.copy()
         donor.flush()
-        for row in donor._buf[: donor._nonzero]:
-            out._insert(row)
+        out._store(donor._buf[: donor._nonzero])
         out._rows_seen += donor.rows_seen
         out._frob_acc.add(donor.input_frob_sq)
         out._delta_acc.add(donor.delta_sum)

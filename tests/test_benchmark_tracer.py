@@ -8,6 +8,8 @@ the package and uninstalls it, without editing it.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import fdsketch.cli as fcli
 import fdsketch.heavy_hitters as fhh
 import fdsketch.io as fio
@@ -36,3 +38,22 @@ def test_tracer_installs_and_uninstalls_against_the_package():
     finally:
         tracer.uninstall()
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_traced_cli_sketch_writes_the_same_sketch(tmp_path, capsys):
+    # the tracer hands back a plain generator from ``iter_rows``; the sketch
+    # command must not depend on what that name returns
+    rows = np.random.default_rng(27).normal(size=(70, 9))
+    stream = str(tmp_path / "rows.bin")
+    fio.write_rows(stream, rows, "binary")
+    argv = ["sketch", "--input", stream, "--k", "2", "--eps", "0.5", "--json"]
+    assert fcli.main(argv + ["--out", str(tmp_path / "plain.fdsk")]) == 0
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        assert fcli.main(argv + ["--out", str(tmp_path / "traced.fdsk")]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert (tmp_path / "plain.fdsk").read_bytes() == (tmp_path / "traced.fdsk").read_bytes()
+    assert any(name == "sketch.compress" for _, _, name, _, _ in tracer.spans)

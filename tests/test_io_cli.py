@@ -592,6 +592,26 @@ def test_cli_csv_and_binary_streams_give_identical_sketch_files(tmp_path, capsys
     assert out_c.read_bytes() == out_b.read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "binary"])
+@pytest.mark.parametrize("c", ["1", "2"])
+def test_cli_sketch_equals_library_extend_of_read_rows(tmp_path, capsys, fmt, c):
+    # the CLI feeds buffer_rows-row blocks; the library gets one block
+    rng = np.random.default_rng(25)
+    rows = rng.normal(size=(203, 4)) @ rng.normal(size=(4, 11))
+    rows[rng.random(203) < 0.1] = 0.0
+    stream = str(tmp_path / f"rows.{fmt}")
+    write_rows(stream, rows, fmt)
+    out = tmp_path / "cli.fdsk"
+    rc, _, _ = _run(capsys, "sketch", "--input", stream, "--k", "2", "--eps", "0.5",
+                    "--c", c, "--out", str(out))
+    assert rc == 0
+    sk = FdSketch(k=2, eps=0.5, d=11, batch_factor=float(c))
+    sk.extend(read_rows(stream))
+    lib = tmp_path / "lib.fdsk"
+    save_sketch(str(lib), sk)
+    assert out.read_bytes() == lib.read_bytes()
+
+
 def test_cli_merge_and_verify_combined(tmp_path, capsys):
     rng = np.random.default_rng(6)
     rows = rng.normal(size=(60, 6))
@@ -713,6 +733,38 @@ def test_cli_hh_parameter_errors(tmp_path, capsys):
     rc, _, err = _run(capsys, "hh", "--input", str(stream), "--ell", "3")
     assert rc == 2
     assert "bad item id" in err
+
+
+@pytest.mark.parametrize("args", [("--ell", "3", "--k", "5"), ("--ell", "3", "--k", "3"),
+                                  ("--ell", "3", "--k", "0")])
+def test_cli_hh_rejects_a_k_without_certificate_before_reading(tmp_path, capsys, args):
+    # the input does not exist: an exit 3 would mean the stream was opened
+    rc, text, err = _run(capsys, "hh", "--input", str(tmp_path / "missing.txt"), *args)
+    assert rc == 2
+    assert text == ""
+    assert err.startswith("parameter error: --k ")
+
+
+def test_cli_hh_without_k_keeps_no_histogram(tmp_path, capsys):
+    import tracemalloc
+
+    items = np.random.default_rng(26).permutation(100_000).tolist()
+    stream = tmp_path / "items.txt"
+    stream.write_text("".join(f"{x}\n" for x in items))
+    tracemalloc.start()
+    try:
+        histogram = Counter(items)
+        hist_peak = tracemalloc.get_traced_memory()[0]
+        del histogram
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        rc, text, _ = _run(capsys, "hh", "--input", str(stream), "--ell", "16", "--json")
+        hh_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert json.loads(text)["n"] == 100_000
+    assert hh_peak < hist_peak / 10
 
 
 def test_cli_hh_bad_item_names_its_line_after_blank_lines(tmp_path, capsys):

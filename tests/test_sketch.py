@@ -584,3 +584,227 @@ def test_guarantees_hold_on_arbitrary_small_streams(rows, batch_factor):
     rep = error_report(rows, s)
     assert rep.all_ok
     assert rep.rows_seen == rows.shape[0]
+
+
+# -- block ingest and the carried Gram matrix ---------------------------------
+
+
+def _state(s):
+    """Everything a flushed sketch exposes, for bit-for-bit comparison."""
+    return s.query(), s.rows_seen, s.input_frob_sq, s.delta_sum
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 80),
+    st.sampled_from([1.0, 1.5, 2.0]),
+    st.booleans(),
+    st.data(),
+)
+def test_any_cut_into_blocks_gives_the_same_sketch(seed, n, batch_factor, low_rank, data):
+    rng = np.random.default_rng(seed)
+    d = 9
+    # rank 2 sends buffers to the LAPACK fallback; full rank keeps them on the
+    # Gram route, which rebuilds its carried matrix every ell compressions
+    rows = rng.normal(size=(n, 2 if low_rank else d))
+    if low_rank:
+        rows = rows @ rng.normal(size=(2, d))
+    rows *= rng.lognormal(0.0, 2.0, size=(n, 1))
+    rows[rng.random(n) < 0.2] = 0.0
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=8)))
+
+    def fresh():
+        return FdSketch(k=2, eps=0.5, d=d, batch_factor=batch_factor)
+
+    per_row = fresh()
+    for row in rows:
+        per_row.append(row)
+    whole = fresh()
+    whole.extend(rows)
+    cut = fresh()
+    for part in np.split(rows, cuts):
+        cut.extend(part)
+    want = _state(per_row)
+    for s in (whole, cut):
+        got = _state(s)
+        assert_array_equal(got[0], want[0])
+        assert got[1:] == want[1:]
+
+
+def _nan_at(rows, j):
+    rows[j, 2] = np.nan
+
+
+def _own_overflow_at(rows, j):
+    rows[j, 2] = 1e200
+
+
+def _running_overflow_at(rows, j):
+    # each squared norm is finite; the second one overflows the running sum
+    rows[j - 5] = 0.0
+    rows[j - 5, 0] = 1e154
+    rows[j] = 0.0
+    rows[j, 0] = 1e154
+
+
+@pytest.mark.parametrize(
+    "plant, message",
+    [
+        (_nan_at, "row contains non-finite entries"),
+        (_own_overflow_at, "row's squared norm overflows the running |A|_F^2"),
+        (_running_overflow_at, "row's squared norm overflows the running |A|_F^2"),
+    ],
+)
+@pytest.mark.parametrize("batch_factor", [1.0, 1.5])
+def test_bad_row_mid_block_leaves_the_prefix_state(plant, message, batch_factor):
+    rng = np.random.default_rng(21)
+    rows = rng.normal(size=(40, 12))
+    j = 23
+    plant(rows, j)
+    block = FdSketch(k=2, eps=0.5, d=12, batch_factor=batch_factor)
+    with pytest.raises(ValueError) as raised:
+        block.extend(rows)
+    prefix = FdSketch(k=2, eps=0.5, d=12, batch_factor=batch_factor)
+    for row in rows[:j]:
+        prefix.append(row)
+    with pytest.raises(ValueError) as appended:
+        prefix.append(rows[j])
+    assert str(raised.value) == str(appended.value) == message
+    assert (block.rows_seen, block.input_frob_sq, block.delta_sum) == (
+        prefix.rows_seen, prefix.input_frob_sq, prefix.delta_sum)
+    assert block.rows_seen == j
+    assert_array_equal(block._buf, prefix._buf)
+    # both carry on from the same state
+    block.extend(rows[j + 1:])
+    prefix.extend(rows[j + 1:])
+    got, want = _state(block), _state(prefix)
+    assert_array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
+
+
+def test_block_width_error_consumes_nothing():
+    s = FdSketch(k=1, eps=1.0, d=3)
+    s.extend(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="row has 4 entries, expected 3"):
+        s.extend(np.ones((5, 4)))
+    s.extend(np.ones((0, 4)))  # no rows, so no row of the wrong width
+    assert s.rows_seen == 2
+    assert s.input_frob_sq == 6.0
+
+
+def _count_compressions(monkeypatch) -> list:
+    """Record the shrink value of every compression of every sketch."""
+    deltas = []
+    real = FdSketch.compress
+
+    def counted(self):
+        deltas.append(real(self))
+        return deltas[-1]
+
+    monkeypatch.setattr(FdSketch, "compress", counted)
+    return deltas
+
+
+@pytest.mark.parametrize("n, d, k", [(2000, 100, 5), (260, 200, 10)])
+def test_carried_gram_across_rebuilds_matches_lapack_oracle(monkeypatch, n, d, k):
+    # the carried matrix is rebuilt every ell compressions; more than three
+    # times ell compressions without a fallback means at least three rebuilds
+    # and every compression between them on the carried diagonal
+    fallbacks = _count_fallbacks(monkeypatch)
+    deltas = _count_compressions(monkeypatch)
+    rng = np.random.default_rng(22)
+    rows = rng.normal(size=(n, k)) @ rng.normal(size=(k, d)) + 0.3 * rng.normal(size=(n, d))
+    s = FdSketch(k=k, eps=0.5, d=d)
+    s.extend(rows)
+    q = s.query()
+    assert fallbacks == []
+    assert len(deltas) > 3 * s.ell
+    q_ref, delta_ref = fd_lapack_oracle(rows, s.ell, s.buffer_rows)
+    tol = 1e-10 * frob_sq(rows)
+    assert np.linalg.norm(q.T @ q - q_ref.T @ q_ref) <= tol
+    assert abs(s.delta_sum - delta_ref) <= tol
+    assert error_report(rows, s).all_ok
+
+
+@pytest.mark.parametrize("batch_factor", [1.0, 2.0])
+def test_twelve_decade_stream_matches_lapack_oracle(monkeypatch, batch_factor):
+    fallbacks = _count_fallbacks(monkeypatch)
+    rows = _ill_scaled(np.random.default_rng(23), 500, 300, 12, 12)
+    s = FdSketch(k=10, eps=0.5, d=300, batch_factor=batch_factor)
+    s.extend(rows)
+    q = s.query()
+    # both routes run, so the carried matrix is dropped and rebuilt
+    assert fallbacks
+    q_ref, delta_ref = fd_lapack_oracle(rows, s.ell, s.buffer_rows)
+    tol = 1e-10 * frob_sq(rows)
+    assert np.linalg.norm(q.T @ q - q_ref.T @ q_ref) <= tol
+    assert abs(s.delta_sum - delta_ref) <= tol
+    assert error_report(rows, s).all_ok
+
+
+@pytest.mark.parametrize("batch_factor", [1.0, 2.0])
+def test_load_then_continue_keeps_every_bound(tmp_path, batch_factor):
+    from fdsketch.io import load_sketch, save_sketch
+
+    rng = np.random.default_rng(24)
+    rows = rng.normal(size=(300, 6)) @ rng.normal(size=(6, 40)) + 0.1 * rng.normal(size=(300, 40))
+    s = FdSketch(k=4, eps=0.5, d=40, batch_factor=batch_factor)
+    s.extend(rows[:137])
+    path = str(tmp_path / "half.fdsk")
+    save_sketch(path, s)
+    back = load_sketch(path)
+    back.extend(rows[137:])
+    s.extend(rows[137:])
+    rep = error_report(rows, back)
+    assert rep.all_ok
+    assert back.rows_seen == 300
+    assert back.input_frob_sq == s.input_frob_sq
+    # the reload rebuilds its Gram matrix, so the two differ only by rounding
+    tol = 1e-10 * rep.frob_a_sq
+    assert np.linalg.norm(back.query().T @ back.query() - s.query().T @ s.query()) <= tol
+    assert abs(back.delta_sum - s.delta_sum) <= tol
+
+
+def test_carried_gram_is_rebuilt_on_schedule(tmp_path):
+    from fdsketch.io import load_sketch, save_sketch
+
+    # _gram_age counts the compressions since the Gram matrix was last built
+    # in full: 1 at a rebuild, then one more per compression on the carried
+    # diagonal, rebuilt again after ell of them
+    ages = []
+    s = FdSketch(k=2, eps=0.5, d=30, compress_hook=lambda *_: ages.append(s._gram_age))
+    rows = np.random.default_rng(28).normal(size=(40, 30))
+    s.extend(rows)
+    assert s.ell == 6
+    assert ages == [1, 2, 3, 4, 5, 6] * 5 + [1, 2, 3, 4, 5]
+    path = str(tmp_path / "s.fdsk")
+    save_sketch(path, s)
+    back = load_sketch(path)
+    back.compress_hook = lambda *_: ages.append(back._gram_age)
+    back.extend(rows[:3])
+    # a reloaded sketch rebuilds first; a copy carries on where it was
+    assert ages[-3:] == [1, 2, 3]
+    twin = s.copy()
+    twin.compress_hook = lambda *_: ages.append(twin._gram_age)
+    twin.extend(rows[:2])
+    assert ages[-2:] == [6, 1]
+
+
+def test_compression_after_a_fallback_rebuilds(monkeypatch):
+    fallbacks = _count_fallbacks(monkeypatch)
+    steps = []  # (gram age, fell back) per compression
+
+    def hook(*_):
+        steps.append((s._gram_age, len(fallbacks) > sum(fell for _, fell in steps)))
+
+    s = FdSketch(k=2, eps=0.5, d=30, compress_hook=hook)
+    rows = np.random.default_rng(29).normal(size=(40, 30))
+    # rows 1e8 times larger make buffers that mix both scales ill-conditioned
+    # until the small rows are shrunk away; then the Gram route resumes
+    rows[12:] *= 1e8
+    s.extend(rows)
+    pairs = list(zip(steps, steps[1:]))
+    assert any(fell and not next_fell for (_, fell), (_, next_fell) in pairs)
+    assert {age for (_, fell), (age, _) in pairs if fell} == {1}
+    assert error_report(rows, s).all_ok
