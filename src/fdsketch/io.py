@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 import os
 import struct
 import sys
@@ -31,7 +32,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .sketch import FdParams, FdSketch, sketch_rows_for
+from .sketch import FdParams, FdSketch, sketch_rows_for, squared_row_norms
 
 ROWS_MAGIC = b"FDRW"
 SKETCH_MAGIC = b"FDSK"
@@ -304,7 +305,8 @@ def save_sketch(path: str, sk: FdSketch) -> None:
                     sk.input_frob_sq,
                 )
             )
-            fh.write(np.ascontiguousarray(buf, dtype="<f8").tobytes())
+            # the array's own bytes: no second copy of the buffer
+            fh.write(np.ascontiguousarray(buf, dtype="<f8").data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -335,12 +337,20 @@ def load_sketch(path: str) -> FdSketch:
     buf = np.frombuffer(body, dtype="<f8").astype(np.float64).reshape(m, d)
     if not (np.isfinite([eps, delta, frob]).all() and np.isfinite(buf).all()):
         raise SketchFormatError(f"{path}: non-finite value in header or buffer")
-    if eps <= 0.0:
-        raise SketchFormatError(f"{path}: eps {eps!r} is not positive")
-    if ell != sketch_rows_for(k, eps):
+    try:
+        # the parameter rule every sketch is built under
+        want = sketch_rows_for(k, eps)
+    except ValueError as exc:
+        raise SketchFormatError(f"{path}: {exc}") from None
+    if ell != want:
         raise SketchFormatError(f"{path}: ell {ell} does not match k={k}, eps={eps!r}")
     if delta < 0.0 or frob < 0.0:
         raise SketchFormatError(f"{path}: negative delta_sum or input_frob_sq")
+    # the ingest step's rule on the stored rows: finite squared norms, and a
+    # finite sum of them (the norms are >= 0, so a finite sum implies both)
+    with np.errstate(over="ignore"):
+        if not math.isfinite(float(squared_row_norms(buf).sum())):
+            raise SketchFormatError(f"{path}: a buffer row's squared norm overflows float64")
     nonzero = buf.any(axis=1)
     nz = int(np.count_nonzero(nonzero))
     if nz == m or nonzero[nz:].any():

@@ -18,11 +18,15 @@ conditioned buffer, or one at least as tall as it is wide) the buffer goes
 through LAPACK's thin SVD instead; ``FdSketch.compress`` states the exact
 cutoff. The rows a compression writes are mutually orthogonal, so their Gram
 matrix is the diagonal ``max(s^2 - delta, 0)``: the sketch carries it, and
-the next compression computes only the Gram rows of the rows stored since,
-O(ell d) per row at batch factor 1 instead of O(ell^2 d). It rebuilds
-``B B^T`` in full after a load or a fallback and at least every
+the next compression computes only the Gram rows of the rows stored since.
+It rebuilds ``B B^T`` in full after a load or a fallback and at least every
 ``min(ell, 2^10)`` compressions, which keeps the carried matrix's rounding
 drift a factor 4 inside the fallback cutoff (``compress`` gives the budget).
+A compression that adds one row (batch factor 1) defers the rotation: the
+kept rows stay as a small coefficient matrix times stored rows, multiplied
+out at the next rebuild or when 2m rows are stored, so such a row costs
+amortized O(ell d + m^3) with the m x m eigensolve. A compression that adds
+several rows (batch factor above 1) rotates the buffer directly, O(ell m d).
 
 Running out of zero rows is the one compression trigger, at every batch
 factor. With ``batch_factor == 1`` (``m == ell``) a shrink leaves at most
@@ -85,13 +89,31 @@ def _ceil_guarded(v: float) -> int:
 
 
 def sketch_rows_for(k: int, eps: float) -> int:
-    """Number of sketch rows needed for rank target k at accuracy eps."""
+    """Number of sketch rows needed for rank target k at accuracy eps.
+
+    eps must be finite and > 0, and small enough that ``k + k/eps`` is
+    finite; anything else raises ``ValueError``.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not eps > 0:
-        raise ValueError("eps must be > 0")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0, got {eps!r}")
+    try:
+        rows = k + k / eps
+    except OverflowError:  # a k past the float range
+        rows = math.inf
+    if not math.isfinite(rows):
+        raise ValueError(f"ell = ceil(k + k/eps) overflows at k={k}, eps={eps!r}")
     # ell > k is structural (the error bounds divide by ell - k)
-    return max(_ceil_guarded(k + k / eps), k + 1)
+    return max(_ceil_guarded(rows), k + 1)
+
+
+def squared_row_norms(block: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of a 2-D float64 array, bit for bit
+    ``row @ row``; an overflow or a non-finite entry gives a non-finite
+    norm, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.matmul(block[:, None, :], block[:, :, None]).reshape(block.shape[0])
 
 
 @dataclass(frozen=True)
@@ -107,12 +129,17 @@ class FdParams:
 
     @classmethod
     def create(cls, k: int, eps: float, d: int, batch_factor: float = 1.0) -> "FdParams":
+        """The one parameter rule: ``sketch_rows_for``'s rule on (k, eps), d >= 1,
+        and a finite batch factor >= 1 whose buffer size does not overflow."""
         ell = sketch_rows_for(k, eps)
         if d < 1:
             raise ValueError("d must be >= 1")
-        if not batch_factor >= 1.0:
-            raise ValueError("batch_factor must be >= 1")
-        m = max(_ceil_guarded(batch_factor * ell), ell)
+        if not (math.isfinite(batch_factor) and batch_factor >= 1.0):
+            raise ValueError(f"batch_factor must be finite and >= 1, got {batch_factor!r}")
+        rows = batch_factor * ell
+        if not math.isfinite(rows):
+            raise ValueError(f"batch_factor {batch_factor!r} overflows the buffer size")
+        m = max(_ceil_guarded(rows), ell)
         if ell > d:
             warnings.warn(
                 f"sketch rows ell={ell} exceed dimension d={d}; the sketch will "
@@ -143,6 +170,10 @@ class _KahanSum:
     def total(self) -> float:
         return self.value + self._comp
 
+
+# cap on the consecutive failed Gram attempts that double the run of
+# compressions sent straight to LAPACK: at most 2**(cap-1) - 1 = 31
+_GRAM_FAILS_CAP = 6
 
 CompressHook = Callable[[np.ndarray, np.ndarray, float], None]
 
@@ -189,7 +220,7 @@ class FdSketch:
                    input_frob_sq: float, delta_sum: float,
                    compress_hook: Optional[CompressHook] = None) -> None:
         self.params = params
-        self._buf = buf
+        self._rows = buf
         self._nonzero = int(np.count_nonzero(buf.any(axis=1)))
         self._pending = self._nonzero
         self._rows_seen = int(rows_seen)
@@ -204,6 +235,46 @@ class FdSketch:
         # makes the next compression rebuild it (see ``compress``)
         self._carried: Optional[np.ndarray] = None
         self._gram_age = 0
+        # deferred rows: while ``_coef`` is set, the kept rows are
+        # ``_coef @ _basis[:q]`` and ``_rows[:_coef.shape[0]]`` is stale
+        self._coef: Optional[np.ndarray] = None
+        self._basis: Optional[np.ndarray] = None
+        # consecutive failed Gram attempts, and compressions left to send
+        # straight to LAPACK
+        self._gram_fails = 0
+        self._gram_skip = 0
+
+    @property
+    def _buf(self) -> np.ndarray:
+        """The m x d buffer: the storage itself while its rows are
+        multiplied out, else a computed copy. Reading never changes the
+        sketch; assigning installs a buffer and ends the deferral."""
+        return self._rows if self._coef is None else self._logical()
+
+    @_buf.setter
+    def _buf(self, buf: np.ndarray) -> None:
+        self._rows = buf
+        self._coef = None
+        # the carried Gram diagonal described the rows just replaced
+        self._carried = None
+
+    def _logical(self) -> np.ndarray:
+        """A copy of the buffer with the deferred rows multiplied out."""
+        buf = self._rows.copy()
+        self._multiply_into(buf)
+        return buf
+
+    def _multiply_out(self) -> None:
+        """End the deferral: store ``coef @ basis`` in the buffer."""
+        self._multiply_into(self._rows)
+        self._coef = None
+
+    def _multiply_into(self, buf: np.ndarray) -> None:
+        """Write ``coef @ basis`` over the first rows of ``buf``, which must
+        not overlap the basis, so reads and ``compress`` get the same bits."""
+        if self._coef is not None:
+            nz, q = self._coef.shape
+            np.matmul(self._coef, self._basis[:q], out=buf[:nz])
 
     # -- bookkeeping views ------------------------------------------------
 
@@ -298,9 +369,7 @@ class FdSketch:
         if d != self.params.d:
             raise ValueError(f"row has {d} entries, expected {self.params.d}")
         block = np.ascontiguousarray(block, dtype=np.float64)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # one dot product per row, bit for bit ``row @ row``
-            norms = np.matmul(block[:, None, :], block[:, :, None]).reshape(n)
+        norms = squared_row_norms(block)
         frob = self._frob_acc
         start, stored, error = 0, 0, None
         free = self.params.buffer_rows - self._nonzero
@@ -341,7 +410,7 @@ class FdSketch:
         while rows.shape[0]:
             at = self._nonzero
             take = min(m - at, rows.shape[0])
-            self._buf[at : at + take] = rows[:take]
+            self._rows[at : at + take] = rows[:take]
             self._nonzero += take
             self._pending += take
             if self._nonzero == m:
@@ -358,10 +427,30 @@ class FdSketch:
         Kernel. With ``B`` the m nonzero rows, ``r = min(ell, m)`` and
         ``w, U`` the eigenpairs of the m x m Gram matrix ``G = B B^T``
         (descending), the shrink is ``delta = w[ell-1]`` (0 if m < ell) and the
-        new rows are ``diag(keep) U[:, :r]^T B`` with
-        ``keep = sqrt(max(w - delta, 0) / w)``. They are written in place, and
-        only the slots that held rows are cleared. No left factor of an SVD
-        is ever formed.
+        new rows are ``W B`` with ``W = (U[:, :r] diag(keep))^T`` and
+        ``keep = sqrt(max(w - delta, 0) / w)``. The rows of W whose keep is 0
+        are dropped, so their slots come out exactly zero. With several new
+        rows since the last compression (``batch_factor > 1``), ``W B`` is
+        one GEMM, O(r m d). No left factor of an SVD is ever formed.
+
+        Deferred rotation. With exactly one new row x (every compression at
+        ``batch_factor == 1`` once the buffer has filled, and every
+        re-inserted row of such a merge) the rotation is not applied: the
+        kept rows stay as ``coef @ basis``, Brand's incremental-SVD device.
+        x is appended to a basis of at most 2m stored rows (2m x d of extra
+        memory, allocated on first use), ``coef <- [W[:, :p] coef | W[:, p:]]``
+        costs O(m^3), and G needs only x's row, ``(x basis^T) coef^T``, at
+        O(m d). The rows are multiplied out, one O(m^2 d) GEMM, when the
+        basis is full, and before a rebuild or a fallback, which need them;
+        since a rebuild comes at least every ``min(ell, 2^10)`` compressions,
+        that is once per at most m of them, and a one-row compression costs
+        amortized O(m d + m^3) instead of O(m^2 d). Only ``compress``
+        multiplies the rows out, on a schedule set by the row sequence, so
+        block cuts still give bit-identical sketches; reading the buffer
+        (``_buf``, ``query``, ``copy``, ``save_sketch``, a hook's arguments)
+        computes a copy and never changes later bits, and ``copy()`` copies
+        ``coef`` and ``basis``, so a copy continues bit for bit. Assigning
+        ``_buf`` installs that buffer and ends the deferral.
 
         Carried Gram matrix. The rows written are mutually orthogonal, with
         Gram matrix ``diag(max(w[:r] - delta, 0))``; the sketch keeps that
@@ -384,7 +473,12 @@ class FdSketch:
         factor 4 inside the fallback cutoff below; and rebuilding every
         ``ell`` compressions costs O(m^2 d / ell) = O(ell d) per compression
         at ``batch_factor == 1``. ``copy()`` keeps the carried diagonal, so a
-        copy compresses bit for bit as the original would.
+        copy compresses bit for bit as the original would. The deferred rows
+        drift within the same budget: each W is a contraction, so by
+        induction ``|coef| <= 1``, each update adds rounding of the size the
+        direct rotation adds, and no later W amplifies what an earlier step
+        committed; and the rows are multiplied out at every rebuild, so the
+        drift sums over no more steps than the carried diagonal's.
 
         Soundness. The new buffer is ``W B`` with ``W = diag(keep) U^T`` and
         ``0 <= keep <= 1``, so ``B^T B - B'^T B' = B^T (I - W^T W) B`` is PSD by
@@ -403,15 +497,43 @@ class FdSketch:
         are accurate to about ``2^-52 * s_1``, where the Gram route's are
         accurate only to about ``sqrt(m * 2^-52) * s_1`` because squaring B
         squares its condition number. A rank-deficient stream then shrinks
-        by round-off squared, not by round-off.
+        by round-off squared, not by round-off. After j failed Gram attempts
+        in a row (j capped at 6), the next ``2^(j-1) - 1`` compressions go
+        straight to LAPACK without building G; a success resets j. ``copy()``
+        keeps both counters and a load resets them, so the skips, like the
+        rest, depend only on the row sequence.
         """
-        before = self._buf.copy() if self.compress_hook is not None else None
-        held = self._nonzero
-        shrunk = self._gram_shrink()
+        before = self._logical() if self.compress_hook is not None else None
+        m = self._nonzero
+        p = 0 if self._carried is None else self._carried.size
+        rebuild = self._rebuild_due(p)
+        one_row = self._carried is not None and p == m - 1
+        if rebuild or not one_row:
+            # a rebuild and a direct rotation read the rows themselves
+            self._multiply_out()
+        shrunk = None
+        if self._gram_skip:
+            self._gram_skip -= 1
+        elif 0 < m < self.params.d:
+            shrunk = self._gram_shrink(m, p, rebuild)
+            if shrunk is None:
+                self._gram_fails = min(self._gram_fails + 1, _GRAM_FAILS_CAP)
+                self._gram_skip = 2 ** (self._gram_fails - 1) - 1
+            else:
+                self._gram_fails = 0
         if shrunk is not None:
-            delta, scale, rotated, new_sq = shrunk
+            delta, w_mat, new_sq = shrunk
+            nz = new_sq.size
+            if one_row:
+                self._defer(w_mat, m)
+            else:
+                # into a fresh array: a product whose output overlaps an
+                # operand takes numpy's slow path
+                self._rows[:nz] = w_mat @ self._rows[:m]
+            self._carried = new_sq
         else:
-            f = svd_thin(self._buf)
+            self._multiply_out()
+            f = svd_thin(self._rows)
             # square once and reuse: taking delta from the same array
             # guarantees the cut entry shrinks to exactly 0.0, which the slot
             # bookkeeping relies on (a separate square can differ by one ulp)
@@ -419,44 +541,65 @@ class FdSketch:
             ell = self.params.ell
             delta = float(sq[ell - 1]) if sq.size >= ell else 0.0
             scale = np.sqrt(np.maximum(sq - delta, 0.0))
-            rotated, new_sq = f.v.T, None
-        written = scale.size
-        np.multiply(scale[:, None], rotated, out=self._buf[:written])
-        self._buf[written:held] = 0.0
-        # each new row is its scale times a nonzero row, and zero scales come
-        # last, so the nonzero rows stay first
-        self._nonzero = int(np.count_nonzero(scale))
-        self._carried = None if new_sq is None else new_sq[: self._nonzero]
+            np.multiply(scale[:, None], f.v.T, out=self._rows[: scale.size])
+            # zero scales come last, so the nonzero rows stay first
+            nz = int(np.count_nonzero(scale))
+            self._carried = None
+        self._rows[nz:m] = 0.0
+        self._nonzero = nz
         self._pending = 0
         self._delta_acc.add(delta)
         if self.compress_hook is not None:
-            self.compress_hook(before, self._buf.copy(), delta)
+            self.compress_hook(before, self._logical(), delta)
         return delta
 
-    def _buffer_gram(self, b: np.ndarray) -> np.ndarray:
-        """Lower triangle of ``b b^T``, from the carried diagonal where the
-        rebuild rule in ``compress`` allows it."""
-        p = 0 if self._carried is None else self._carried.size
-        if p == 0 or self._gram_age >= min(self.params.ell, 2**10):
+    def _defer(self, w_mat: np.ndarray, m: int) -> None:
+        """Keep the new rows ``w_mat @ B`` as ``coef @ basis`` when one row
+        arrived since the last compression (see ``compress``)."""
+        if self._coef is None:
+            if self._basis is None:
+                self._basis = np.empty((2 * self.params.buffer_rows, self.params.d))
+            self._basis[:m] = self._rows[:m]
+            self._coef = w_mat
+        else:
+            p = m - 1
+            q = self._coef.shape[1]
+            self._basis[q] = self._rows[p]
+            self._coef = np.concatenate((w_mat[:, :p] @ self._coef, w_mat[:, p:]), axis=1)
+        if self._coef.shape[1] == self._basis.shape[0]:
+            self._multiply_out()
+
+    def _rebuild_due(self, p: int) -> bool:
+        """The rebuild rule of ``compress``, given p carried rows."""
+        return p == 0 or self._gram_age >= min(self.params.ell, 2**10)
+
+    def _buffer_gram(self, m: int, p: int, rebuild: bool) -> np.ndarray:
+        """Lower triangle of ``B B^T`` for the m buffer rows, from the carried
+        diagonal of the first p unless ``rebuild`` (see ``compress``)."""
+        if rebuild:
             self._gram_age = 1
+            b = self._rows[:m]
             return b @ b.T
         self._gram_age += 1
-        m = b.shape[0]
         gram = np.zeros((m, m))
         gram.flat[: p * (m + 1) : m + 1] = self._carried
-        gram[p:] = b[p:] @ b.T
+        if self._coef is None:
+            b = self._rows[:m]
+            gram[p:] = b[p:] @ b.T
+        else:
+            # the one new row x against the deferred rows: (x basis^T) coef^T
+            x = self._rows[p]
+            gram[p, :p] = (self._basis[: self._coef.shape[1]] @ x) @ self._coef.T
+            gram[p, p] = x @ x
         return gram
 
-    def _gram_shrink(self) -> Optional[tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
-        """``(delta, keep, U^T B, max(w - delta, 0))`` over the kept
-        directions by the Gram route, or None to fall back."""
-        m = self._nonzero
-        if not 0 < m < self.params.d:
-            return None
-        b = self._buf[:m]
+    def _gram_shrink(self, m: int, p: int,
+                     rebuild: bool) -> Optional[tuple[float, np.ndarray, np.ndarray]]:
+        """``(delta, W, max(w - delta, 0))`` by the Gram route, with W's
+        zero rows and their entries dropped, or None to fall back."""
         ell = self.params.ell
         # eigh reads the lower triangle only
-        w, u = np.linalg.eigh(self._buffer_gram(b), UPLO="L")
+        w, u = np.linalg.eigh(self._buffer_gram(m, p, rebuild), UPLO="L")
         w, u = w[::-1], u[:, ::-1]
         r = min(ell, m)
         if not w[r - 1] > m * 2.0**-40 * w[0]:
@@ -464,7 +607,10 @@ class FdSketch:
         # delta comes from the same array w, so entry ell-1 shrinks to 0.0
         delta = float(w[ell - 1]) if m >= ell else 0.0
         new_sq = np.maximum(w[:r] - delta, 0.0)
-        return delta, np.sqrt(new_sq / w[:r]), u[:, :r].T @ b, new_sq
+        # w is descending, so the zero entries come last
+        nz = int(np.count_nonzero(new_sq))
+        keep = np.sqrt(new_sq[:nz] / w[:nz])
+        return delta, (u[:, :nz] * keep).T, new_sq[:nz]
 
     def flush(self) -> None:
         """Compress any rows appended since the last compression."""
@@ -483,7 +629,13 @@ class FdSketch:
 
     def copy(self) -> "FdSketch":
         out = copy.copy(self)
-        out._buf = self._buf.copy()
+        # with the deferred form as it is, so the copy compresses bit for bit
+        # as the original would
+        out._rows = self._rows.copy()
+        if self._coef is not None:
+            out._coef = self._coef.copy()
+        if self._basis is not None:
+            out._basis = self._basis.copy()
         # copied with their compensation terms
         out._frob_acc = copy.copy(self._frob_acc)
         out._delta_acc = copy.copy(self._delta_acc)

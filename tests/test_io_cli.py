@@ -859,3 +859,93 @@ def test_module_entry_point_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["rows"] == 3
     assert out.exists()
+
+
+# -- one parameter rule, and stored rows checked at load ----------------------
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"eps": np.inf}, "eps must be finite"),
+        ({"eps": np.nan}, "eps must be finite"),
+        ({"eps": 8.3e-317}, "overflows"),
+        ({"batch_factor": np.inf}, "batch_factor must be finite"),
+        ({"batch_factor": 1e308}, "overflows"),
+    ],
+)
+def test_constructor_rejects_parameters_no_file_can_hold(kwargs, message):
+    args = {"k": 2, "eps": 0.5, "d": 5, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        FdSketch(**args)
+
+
+def _assert_clean_exit_two(rc, out, err, message):
+    assert rc == 2
+    assert out == ""
+    assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "option, message",
+    [("--c", "parameter error: batch_factor must be finite"),
+     ("--eps", "parameter error: eps must be finite")],
+)
+def test_cli_sketch_rejects_an_infinite_parameter(tmp_path, capsys, option, message):
+    stream = str(tmp_path / "rows.csv")
+    out = str(tmp_path / "s.fdsk")
+    write_rows(stream, np.ones((4, 3)), "csv")
+    argv = {"--k": "2", "--eps": "0.5", "--c": "1"}
+    argv[option] = "inf"
+    flags = [item for pair in argv.items() for item in pair]
+    _assert_clean_exit_two(*_run(capsys, "sketch", "--input", stream, *flags, "--out", out),
+                           message)
+    assert not (tmp_path / "s.fdsk").exists()
+
+
+def _sketch_file(tmp_path, rows):
+    stream = str(tmp_path / "rows.bin")
+    path = str(tmp_path / "s.fdsk")
+    write_rows(stream, rows, "binary")
+    sk = FdSketch(k=2, eps=0.5, d=rows.shape[1])
+    sk.extend(rows)
+    save_sketch(path, sk)
+    return stream, path
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["verify", "merge"])
+def test_cli_rejects_a_sketch_file_with_a_subnormal_eps(tmp_path, capsys, command):
+    rows = np.random.default_rng(40).normal(size=(20, 8))
+    stream, good = _sketch_file(tmp_path, rows)
+    blob = bytearray((tmp_path / "s.fdsk").read_bytes())
+    header = struct.Struct("<4sH5Q3d")
+    fields = list(header.unpack_from(blob))
+    assert fields[2:4] == [2, 6]  # k, ell
+    fields[7] = 8.3e-317
+    header.pack_into(blob, 0, *fields)
+    (tmp_path / "bad.fdsk").write_bytes(bytes(blob))
+    bad = str(tmp_path / "bad.fdsk")
+    with pytest.raises(SketchFormatError, match="overflows"):
+        load_sketch(bad)
+    argv = (["verify", "--input", stream, "--sketch", bad] if command == "verify"
+            else ["merge", bad, good, "--out", str(tmp_path / "m.fdsk")])
+    _assert_clean_exit_two(*_run(capsys, *argv), "input error:")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["verify", "merge"])
+def test_cli_rejects_a_stored_row_whose_squared_norm_overflows(tmp_path, capsys, command):
+    rows = np.random.default_rng(41).normal(size=(20, 8))
+    stream, good = _sketch_file(tmp_path, rows)
+    blob = bytearray((tmp_path / "s.fdsk").read_bytes())
+    # the first body entry: finite, but its row's squared norm is not
+    struct.pack_into("<d", blob, struct.calcsize("<4sH5Q3d"), 1e200)
+    (tmp_path / "bad.fdsk").write_bytes(bytes(blob))
+    bad = str(tmp_path / "bad.fdsk")
+    with pytest.raises(SketchFormatError, match="squared norm overflows"):
+        load_sketch(bad)
+    argv = (["verify", "--input", stream, "--sketch", bad] if command == "verify"
+            else ["merge", bad, good, "--out", str(tmp_path / "m.fdsk")])
+    _assert_clean_exit_two(*_run(capsys, *argv), "squared norm overflows")

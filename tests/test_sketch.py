@@ -808,3 +808,163 @@ def test_compression_after_a_fallback_rebuilds(monkeypatch):
     assert any(fell and not next_fell for (_, fell), (_, next_fell) in pairs)
     assert {age for (_, fell), (age, _) in pairs if fell} == {1}
     assert error_report(rows, s).all_ok
+
+
+# -- deferred rotation at one new row per compression -------------------------
+
+
+def _noisy_low_rank(seed, n, d, rank=3):
+    rng = np.random.default_rng(seed)
+    signal = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, d))
+    return 3.0 * signal + 0.5 * rng.normal(size=(n, d))
+
+
+def _assert_same_bits(got: FdSketch, want: FdSketch) -> None:
+    a, b = _state(got), _state(want)
+    assert_array_equal(a[0], b[0])
+    assert a[1:] == b[1:]
+
+
+def test_hooked_sketch_is_bit_identical_at_batch_factor_one():
+    rows = _noisy_low_rank(31, 150, 60)
+    deferred = []
+    hooked = FdSketch(k=3, eps=0.5, d=60,
+                      compress_hook=lambda *_: deferred.append(hooked._coef is not None))
+    plain = FdSketch(k=3, eps=0.5, d=60)
+    hooked.extend(rows)
+    plain.extend(rows)
+    assert len(deferred) == 150 - hooked.ell + 1
+    assert sum(deferred) > 100
+    _assert_same_bits(hooked, plain)
+
+
+def test_reads_never_change_later_bits(tmp_path):
+    from fdsketch.io import save_sketch
+
+    rows = _noisy_low_rank(32, 300, 80)
+    touched = FdSketch(k=3, eps=0.5, d=80)
+    untouched = FdSketch(k=3, eps=0.5, d=80)
+    path = str(tmp_path / "s.fdsk")
+    reads_while_deferred = 0
+    for start in range(0, rows.shape[0], 37):
+        block = rows[start : start + 37]
+        touched.extend(block)
+        untouched.extend(block)
+        reads_while_deferred += touched._coef is not None
+        touched.query()
+        touched.query_topk()
+        touched.copy()
+        save_sketch(path, touched)
+        error_report(rows[: start + 37], touched)
+        FdSketch(k=3, eps=0.5, d=80).merge(touched)
+        frob_sq(touched._buf)
+    assert reads_while_deferred >= 5
+    _assert_same_bits(touched, untouched)
+
+
+def test_copy_made_mid_deferral_continues_bit_for_bit():
+    rows = _noisy_low_rank(33, 200, 50)
+    s = FdSketch(k=3, eps=0.5, d=50)
+    s.extend(rows[:73])
+    assert s._coef is not None
+    twin = s.copy()
+    s.extend(rows[73:])
+    twin.extend(rows[73:])
+    _assert_same_bits(twin, s)
+
+
+def test_deferred_rows_over_basis_cycles_match_lapack_oracle():
+    rows = _noisy_low_rank(34, 120, 1000, rank=4)
+    # a compression that leaves exactly m basis rows in use began a cycle
+    cycles = []
+    s = FdSketch(k=2, eps=0.5, d=1000, compress_hook=lambda *_: cycles.append(
+        s._coef is not None and s._coef.shape[1] == s.buffer_rows))
+    s.extend(rows)
+    q = s.query()
+    assert sum(cycles) >= 3
+    q_ref, delta_ref = fd_lapack_oracle(rows, s.ell, s.buffer_rows)
+    tol = 1e-10 * frob_sq(rows)
+    assert np.linalg.norm(q.T @ q - q_ref.T @ q_ref) <= tol
+    assert abs(s.delta_sum - delta_ref) <= tol
+    assert error_report(rows, s).all_ok
+
+
+def test_batch_factor_one_merge_reinserts_through_the_deferred_path(monkeypatch):
+    rows = _noisy_low_rank(35, 160, 40)
+    left = FdSketch(k=3, eps=0.5, d=40)
+    right = FdSketch(k=3, eps=0.5, d=40)
+    left.extend(rows[:80])
+    right.extend(rows[80:])
+    deferred = []
+    real = FdSketch._defer
+
+    def counted(self, *args):
+        deferred.append(self)
+        return real(self, *args)
+
+    monkeypatch.setattr(FdSketch, "_defer", counted)
+    merged = left.merge(right)
+    # every re-inserted row fills the one free slot and is compressed alone
+    assert len(deferred) == right._nonzero == right.ell - 1
+    assert all(sk is merged for sk in deferred)
+    assert error_report(rows, merged).all_ok
+
+
+def test_deferred_rows_are_multiplied_out_when_the_basis_is_full(monkeypatch):
+    # the periodic rebuild multiplies the rows out every min(ell, 2^10)
+    # compressions, so only past ell = 2^10 does the 2m-row basis fill first;
+    # without the periodic rebuild a small sketch reaches that path
+    monkeypatch.setattr(FdSketch, "_rebuild_due", lambda self, p: p == 0)
+    widths = []
+    s = FdSketch(k=2, eps=0.5, d=30, compress_hook=lambda *_: widths.append(
+        0 if s._coef is None else s._coef.shape[1]))
+    rows = np.random.default_rng(36).normal(size=(40, 30))
+    s.extend(rows)
+    m = s.buffer_rows
+    assert m == 6
+    assert s._basis.shape == (2 * m, 30)
+    # one direct compression, then a deferral from m basis rows up to 2m,
+    # where the rows are multiplied out, and again
+    cycle = list(range(m, 2 * m)) + [0]
+    assert widths == ([0] + cycle * 5)[: len(widths)]
+    assert len(widths) == 35
+    q = s.query()
+    q_ref, delta_ref = fd_lapack_oracle(rows, s.ell, s.buffer_rows)
+    tol = 1e-10 * frob_sq(rows)
+    assert np.linalg.norm(q.T @ q - q_ref.T @ q_ref) <= tol
+    assert abs(s.delta_sum - delta_ref) <= tol
+
+
+def test_failed_gram_attempts_send_a_doubling_run_straight_to_lapack(monkeypatch, tmp_path):
+    from fdsketch.io import load_sketch, save_sketch
+
+    attempts = []  # eigh calls so far, after each compression
+    eigh_calls = []
+    real = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        eigh_calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fsk.np.linalg, "eigh", counted)
+    rng = np.random.default_rng(37)
+    rank3 = rng.normal(size=(200, 3)) @ rng.normal(size=(3, 50))
+    s = FdSketch(k=5, eps=0.5, d=50, compress_hook=lambda *_: attempts.append(len(eigh_calls)))
+    s.extend(rank3)
+    # every Gram attempt on an exact rank-3 buffer fails; after j failures in
+    # a row the next 2^(j-1) - 1 compressions skip it, with j capped at 6
+    tried = [i for i, (a, b) in enumerate(zip([0] + attempts, attempts)) if b > a]
+    assert len(attempts) == 186
+    assert tried == [0, 1, 3, 7, 15, 31, 63, 95, 127, 159]
+    assert error_report(rank3, s).all_ok
+    # a copy carries the run on; a reload attempts the Gram route at once
+    twin = s.copy()
+    twin.compress_hook = None
+    before = len(eigh_calls)
+    twin.extend(rank3[:3])
+    assert len(eigh_calls) == before
+    path = str(tmp_path / "s.fdsk")
+    save_sketch(path, s)
+    back = load_sketch(path)
+    back.extend(rank3[:1])
+    assert len(eigh_calls) == before + 1
