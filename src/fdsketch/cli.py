@@ -5,6 +5,11 @@ report goes to stdout as JSON (indented by default, compact with --json).
 Exit codes: 0 success, 1 verification found a violated bound, 2 malformed
 input or parameters (including a size that cannot be allocated), 3 file I/O
 failure.
+
+A command loads only what it runs: ``hh`` and ``--help`` never import numpy,
+and each matrix command imports ``io``, ``sketch`` or ``counterexamples``
+when it starts. ``error_report`` and ``error_certificate`` are still bound
+here at import (from numpy-free modules), so a tracer can wrap them by name.
 """
 from __future__ import annotations
 
@@ -13,20 +18,20 @@ import itertools
 import json
 import math
 import sys
-from typing import Optional, Sequence
+from collections import Counter
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
-
-from . import io as fio
-from .counterexamples import (
-    SparseFdInstance,
-    compare_on_adversary,
-    gen_adversary,
-    orthogonal_residual_min,
-    sparse_feasibility_grid,
-)
+from .bounds import error_report, sketch_rows_for
 from .heavy_hitters import MgSummary, error_certificate
-from .sketch import FdParams, FdSketch, error_report, sketch_rows_for
+
+if TYPE_CHECKING:
+    from .sketch import FdSketch
+
+# size hint, in characters, of one ``readlines`` chunk of an hh item stream.
+# 4 KiB to 64 KiB parse 200k ids equally fast; a chunk's lines and ints are
+# all hh holds of the stream at once, and from 16 KiB on they outweigh a
+# tenth of the histogram of 100k distinct ids
+_HH_CHUNK_CHARS = 8 << 10
 
 
 # ErrorReport fields in verify's "report", after "rows"; each keeps its name
@@ -64,6 +69,11 @@ def _sketch_payload(command: str, out: str, sk: FdSketch, geometry: Sequence[str
 
 
 def _cmd_sketch(args) -> int:
+    import numpy as np
+
+    from . import io as fio
+    from .sketch import FdParams, FdSketch
+
     with fio.RowReader(args.input, args.format) as stream:
         # an empty CSV carries no width; d=1 by convention
         params = FdParams.create(args.k, args.eps, stream.d or 1, args.c)
@@ -81,6 +91,8 @@ def _cmd_sketch(args) -> int:
 
 
 def _cmd_merge(args) -> int:
+    from . import io as fio
+
     left = fio.load_sketch(args.in1)
     right = fio.load_sketch(args.in2)
     merged = left.merge(right)
@@ -90,6 +102,8 @@ def _cmd_merge(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import io as fio
+
     sk = fio.load_sketch(args.sketch)
     with fio.RowReader(args.input, args.format) as rows:
         # before error_report allocates its d x d accumulator
@@ -127,20 +141,31 @@ def _cmd_hh(args) -> int:
         raise ValueError(f"--k {args.k} must satisfy 0 < k < ell = {ell} for a certificate")
     summary = MgSummary(ell)
     # the exact histogram grows with the distinct labels; only --k needs it
-    exact: Optional[dict[int, int]] = {} if args.k is not None else None
+    exact: Optional[Counter[int]] = Counter() if args.k is not None else None
     with open(args.input, "r", encoding="ascii") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
+        lines_done = 0
+        while lines := fh.readlines(_HH_CHUNK_CHARS):
             try:
-                item = int(text)
+                # int() ignores the whitespace around an id, line end included
+                items = list(map(int, lines))
             except ValueError:
-                print(f"{args.input}:{line_no}: bad item id {text!r}", file=sys.stderr)
-                return 2
-            summary.update(item)
+                # a blank line, a bad id or a separator only str.strip()
+                # removes (such as \x1c): this chunk goes line by line
+                items = []
+                for line_no, line in enumerate(lines, start=lines_done + 1):
+                    text = line.strip()
+                    if not text:
+                        continue
+                    try:
+                        items.append(int(text))
+                    except ValueError:
+                        print(f"{args.input}:{line_no}: bad item id {text!r}",
+                              file=sys.stderr)
+                        return 2
+            lines_done += len(lines)
+            summary.extend(items)
             if exact is not None:
-                exact[item] = exact.get(item, 0) + 1
+                exact.update(items)
     payload: dict = {
         "command": "hh",
         "ell": ell,
@@ -170,6 +195,9 @@ def _cmd_hh(args) -> int:
 
 
 def _cmd_adversary(args) -> int:
+    from . import io as fio
+    from .counterexamples import compare_on_adversary, gen_adversary
+
     rows = gen_adversary(args.k, args.d, args.n)
     fio.write_rows(args.out, rows, args.format or "csv")
     comparison = compare_on_adversary(args.k, args.d, args.n, eps=args.eps)
@@ -180,6 +208,12 @@ def _cmd_adversary(args) -> int:
 
 
 def _cmd_no_sparse_fd(args) -> int:
+    from .counterexamples import (
+        SparseFdInstance,
+        orthogonal_residual_min,
+        sparse_feasibility_grid,
+    )
+
     d = args.d if args.d is not None else args.ell + 1
     inst = SparseFdInstance(ell=args.ell, d=d)
     grid = sparse_feasibility_grid(args.ell, args.c, step=args.step)
@@ -268,14 +302,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _input_errors() -> tuple:
+    """The malformed-input errors of ``io``, or none if no command loaded it
+    (then none of them can have been raised)."""
+    fio = sys.modules.get(__package__ + ".io")
+    return (fio.RowStreamError, fio.SketchFormatError) if fio else ()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except fio.RowStreamError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except fio.SketchFormatError as exc:
+    except _input_errors() as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

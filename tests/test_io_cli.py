@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import fdsketch.io as fio
+import fdsketch.cli as cli
 from fdsketch.cli import main
 from fdsketch.io import (
     RowStreamError,
@@ -666,6 +667,21 @@ def test_cli_verify_flags_a_doctored_sketch(tmp_path, capsys):
     assert report["bounds"]["lemma4_identity"] is False
 
 
+@pytest.mark.filterwarnings("ignore:sketch rows")
+@pytest.mark.parametrize("c", ["1", "2"])
+def test_cli_verify_passes_a_stream_whose_mass_is_subnormal(tmp_path, capsys, c):
+    # |A|_F^2 = 5e-323: relative tolerances round to 0 in gradual underflow
+    stream = str(tmp_path / "rows.bin")
+    out = str(tmp_path / "s.fdsk")
+    write_rows(stream, np.full((2, 1), 4.72347721e-162), "binary")
+    rc, _, _ = _run(capsys, "sketch", "--input", stream, "--k", "1", "--eps", "0.5",
+                    "--c", c, "--out", out)
+    assert rc == 0
+    rc, text, _ = _run(capsys, "verify", "--input", stream, "--sketch", out)
+    assert rc == 0
+    assert json.loads(text)["all_pass"] is True
+
+
 def test_cli_verify_warns_on_row_count_mismatch(tmp_path, capsys):
     rng = np.random.default_rng(9)
     rows = rng.normal(size=(25, 4))
@@ -686,7 +702,7 @@ def test_cli_malformed_csv_exits_two(tmp_path, capsys):
     rc, _, err = _run(capsys, "sketch", "--input", str(stream), "--k", "1",
                       "--eps", "1.0", "--out", str(tmp_path / "s.fdsk"))
     assert rc == 2
-    assert ":2:" in err
+    assert err.startswith("input error: ") and ":2:" in err
 
 
 def test_cli_missing_file_exits_three(tmp_path, capsys):
@@ -776,17 +792,9 @@ def test_cli_hh_bad_item_names_its_line_after_blank_lines(tmp_path, capsys):
     assert "items.txt:4:" in err
 
 
-def test_cli_hh_report_matches_linear_scan_oracle(tmp_path, capsys):
-    items = zipf_item_stream(5000, universe=400, seed=7, exponent=1.1).tolist()
-    stream = tmp_path / "items.txt"
-    stream.write_text("".join(f"{x}\n" for x in items))
-    ell, k = 32, 4
-    rc, text, _ = _run(capsys, "hh", "--input", str(stream), "--ell", str(ell),
-                       "--k", str(k))
-    assert rc == 0
+def _hh_oracle_text(items, ell, k=None) -> str:
+    """What ``hh`` prints for ``items``: the linear-scan summary's report."""
     oracle = mg_linear_oracle(items, ell)
-    assert oracle.decrement_total > 0
-    cert = error_certificate(oracle, Counter(items), k)
     expected = {
         "command": "hh",
         "ell": ell,
@@ -797,14 +805,81 @@ def test_cli_hh_report_matches_linear_scan_oracle(tmp_path, capsys):
             for label, count in sorted(oracle.items().items(),
                                        key=lambda kv: (-kv[1], kv[0]))
         ],
-        "certificate": {
+    }
+    if k is not None:
+        cert = error_certificate(oracle, Counter(items), k)
+        expected["certificate"] = {
             name: getattr(cert, name)
             for name in ("k", "decrements", "top_k_mass", "top_k_mass_est",
                          "residual_mass", "max_item_gap", "decrement_bound_ok",
                          "topk_mass_bound_ok")
-        },
-    }
-    assert text == json.dumps(expected, indent=2) + "\n"
+        }
+    return json.dumps(expected, indent=2) + "\n"
+
+
+def test_cli_hh_report_matches_linear_scan_oracle(tmp_path, capsys):
+    items = zipf_item_stream(5000, universe=400, seed=7, exponent=1.1).tolist()
+    stream = tmp_path / "items.txt"
+    stream.write_text("".join(f"{x}\n" for x in items))
+    ell, k = 32, 4
+    rc, text, _ = _run(capsys, "hh", "--input", str(stream), "--ell", str(ell),
+                       "--k", str(k))
+    assert rc == 0
+    assert mg_linear_oracle(items, ell).decrement_total > 0
+    assert text == _hh_oracle_text(items, ell, k)
+
+
+def test_cli_hh_reads_chunks_as_it_read_lines(tmp_path, capsys):
+    # blank and whitespace-only lines sprinkled over many read chunks send
+    # some chunks down the line-by-line path and leave others on the fast one
+    items = zipf_item_stream(30000, universe=2000, seed=41, exponent=1.1).tolist()
+    assert 5 * len(items) > 8 * cli._HH_CHUNK_CHARS
+    rng = np.random.default_rng(42)
+    lines = [f"{x}\n" for x in items]
+    clean, sprinkled = tmp_path / "clean.txt", tmp_path / "sprinkled.txt"
+    clean.write_text("".join(lines))
+    for at in sorted(rng.choice(len(lines), size=25, replace=False), reverse=True):
+        lines.insert(at, str(rng.choice(["\n", "  \n", "\t \n"])))
+    sprinkled.write_text("".join(lines))
+    for args, k in ((("--ell", "64", "--k", "5"), 5), (("--ell", "64"), None)):
+        outputs = []
+        for stream in (clean, sprinkled):
+            rc, text, _ = _run(capsys, "hh", "--input", str(stream), *args)
+            assert rc == 0
+            outputs.append(text)
+        assert outputs[0] == outputs[1] == _hh_oracle_text(items, 64, k)
+
+
+@pytest.mark.parametrize("body", [
+    "3\n1\n3\n2\n",
+    "3\r\n1\r\n3\r\n2\r\n",
+    "3\n1\n3\n2",
+    "3\r1\r3\r2\r",
+    "\n 3 \n\t\n1\t\n\n3\n  2",
+    # str.strip() removes these separators; int() alone does not
+    "\x1c3\x1f\n1\n3\n2\n",
+])
+def test_cli_hh_line_ends_and_blank_lines(tmp_path, capsys, body):
+    stream = tmp_path / "items.txt"
+    stream.write_bytes(body.encode("ascii"))
+    rc, text, _ = _run(capsys, "hh", "--input", str(stream), "--ell", "2", "--k", "1")
+    assert rc == 0
+    assert text == _hh_oracle_text([3, 1, 3, 2], 2, 1)
+
+
+@pytest.mark.parametrize("blank_at", [None, 10])
+def test_cli_hh_bad_item_past_the_first_chunk_names_its_line(tmp_path, capsys, blank_at):
+    lines = [f"{i}\n" for i in range(100000, 105000)]
+    lines[4320] = "12x4\n"
+    if blank_at is not None:
+        lines[blank_at - 1] = "\n"
+    assert len("".join(lines[:4320])) > cli._HH_CHUNK_CHARS
+    stream = tmp_path / "items.txt"
+    stream.write_text("".join(lines))
+    rc, text, err = _run(capsys, "hh", "--input", str(stream), "--ell", "8")
+    assert rc == 2
+    assert text == ""
+    assert err == f"{stream}:4321: bad item id '12x4'\n"
 
 
 def test_cli_adversary_writes_stream_and_ratios(tmp_path, capsys):

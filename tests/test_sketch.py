@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -576,6 +576,9 @@ def test_report_is_one_block_of_the_stream():
     ),
     st.sampled_from([1.0, 2.0]),
 )
+# squares in gradual underflow: |A|_F^2 and |Q|_F^2 differ by one subnormal step
+@example(np.full((2, 1), 4.72347721e-162), 1.0)
+@example(np.full((2, 1), 4.72347721e-162), 2.0)
 @pytest.mark.filterwarnings("ignore:sketch rows")
 def test_guarantees_hold_on_arbitrary_small_streams(rows, batch_factor):
     d = rows.shape[1]
@@ -584,6 +587,19 @@ def test_guarantees_hold_on_arbitrary_small_streams(rows, batch_factor):
     rep = error_report(rows, s)
     assert rep.all_ok
     assert rep.rows_seen == rows.shape[0]
+
+
+def test_underflow_floor_keeps_normal_range_checks_strict():
+    # at entries of 1e-150 the squares are normal and the floor (about
+    # 1e-321) is far below 1e-8 |A|_F^2: a 0.1% doctoring still fails
+    rows = np.random.default_rng(31).normal(size=(40, 6)) * 1e-150
+    s = FdSketch(k=2, eps=0.5, d=6)
+    s.extend(rows)
+    assert error_report(rows, s).all_ok
+    s.flush()
+    s._buf *= 1.001
+    rep = error_report(rows, s)
+    assert not rep.bounds()["lemma4_identity"]
 
 
 # -- block ingest and the carried Gram matrix ---------------------------------
