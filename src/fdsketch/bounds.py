@@ -11,8 +11,7 @@ the same function objects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -56,15 +55,15 @@ def sketch_rows_for(k: int, eps: float) -> int:
     return max(_ceil_guarded(rows), k + 1)
 
 
-@dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(NamedTuple):
     """Every guarantee of one sketch evaluated against its stream A.
 
-    Raw quantities are kept alongside the pass/fail booleans so callers can
-    renormalize or log them. ``qk_norm_bounds`` is the admissible window
-    ``((1-eps)|A_k|^2, |A_k|^2)`` for the top-k sketch mass; the window lower
-    bound is only claimed when ``topk_window_applicable`` (the tail of A is
-    no heavier than its top-k part).
+    An immutable named tuple. Raw quantities are kept alongside the
+    pass/fail booleans so callers can renormalize or log them.
+    ``qk_norm_bounds`` is the admissible window ``((1-eps)|A_k|^2, |A_k|^2)``
+    for the top-k sketch mass; the window lower bound is only claimed when
+    ``topk_window_applicable`` (the tail of A is no heavier than its top-k
+    part).
     """
 
     k: int
@@ -117,7 +116,12 @@ class ErrorReport:
 
 def _stream_gram(blocks: Iterable, d: int) -> tuple[np.ndarray, float, int]:
     """``A^T A``, ``|A|_F^2`` and the row count of the rows in ``blocks``
-    (2-D arrays or single rows), which must all have ``d`` columns."""
+    (2-D arrays or single rows), which must all have ``d`` columns.
+
+    A stream whose ``|A|_F^2`` overflows float64 breaks the sketch's ingest
+    rule and raises its ``ValueError``; every entry of ``A^T A`` is at most
+    ``|A|_F^2``, so a stream that passes never overflows the accumulator.
+    """
     import numpy as np
 
     from .linalg import as_matrix, frob_sq
@@ -134,8 +138,12 @@ def _stream_gram(blocks: Iterable, d: int) -> tuple[np.ndarray, float, int]:
         arr = as_matrix(arr)
         if arr.shape[1] != d:
             raise ValueError(f"matrix has {arr.shape[1]} columns, sketch expects {d}")
+        with np.errstate(over="ignore"):
+            mass = frob_sq(arr)
+        if not math.isfinite(fa + mass):
+            raise ValueError("row's squared norm overflows the running |A|_F^2")
         gram += arr.T @ arr
-        fa += frob_sq(arr)
+        fa += mass
         n += arr.shape[0]
     return gram, fa, n
 

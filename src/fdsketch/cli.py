@@ -6,10 +6,25 @@ Exit codes: 0 success, 1 verification found a violated bound, 2 malformed
 input or parameters (including a size that cannot be allocated), 3 file I/O
 failure.
 
-A command loads only what it runs: ``hh`` and ``--help`` never import numpy,
-and each matrix command imports ``io``, ``sketch`` or ``counterexamples``
-when it starts. ``error_report`` and ``error_certificate`` are still bound
-here at import (from numpy-free modules), so a tracer can wrap them by name.
+A command loads only what it runs. At import this module loads argparse,
+json, ``bounds`` and ``heavy_hitters``, none of which loads numpy or
+``dataclasses``; that is all ``hh`` and ``--help`` load. ``sketch``, ``merge``
+and ``verify`` import ``io`` (and with it numpy, ``linalg`` and ``sketch``)
+when they start, and ``adversary`` and ``no-sparse-fd`` import
+``counterexamples``. ``error_report`` and ``error_certificate`` are still
+bound here at import (from numpy-free modules), so a tracer can wrap them by
+name.
+
+``main`` is the in-process API: it returns the exit code and never ends the
+process. ``run`` is the process entry of both ``fdsketch`` and
+``python -m fdsketch``: it calls ``main``, flushes stdout and stderr, and
+ends with ``os._exit``. Every file a command writes is closed before
+``main`` returns, so the interpreter's own exit would only tear down the
+loaded modules, 15-25 ms once numpy is loaded, in every process of a
+shard-and-merge pipeline. If a flush fails, the interpreter's exit takes
+over and reports it. ``os._exit`` also skips ``atexit`` hooks, so profile or
+trace ``main`` in-process, as ``perfbench/spans.py`` does, not
+``python -m fdsketch``.
 """
 from __future__ import annotations
 
@@ -17,9 +32,10 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 from collections import Counter
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NoReturn, Optional, Sequence
 
 from .bounds import error_report, sketch_rows_for
 from .heavy_hitters import MgSummary, error_certificate
@@ -310,6 +326,8 @@ def _input_errors() -> tuple:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run the command ``argv`` (default ``sys.argv[1:]``) and return its
+    exit code; a usage error or ``--help`` raises argparse's ``SystemExit``."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
@@ -328,5 +346,31 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """End the process with the exit code of ``main()`` on ``sys.argv``,
+    through ``os._exit`` once stdout and stderr are flushed.
+
+    An argparse exit (``--help``, a usage error) ends with its own code. A
+    standard stream that is None (the process started with that descriptor
+    closed) is skipped. A flush that fails, such as one into a pipe whose
+    reader has gone, leaves the exit to the interpreter, which reports the
+    failure and exits 120, as Python does when it cannot flush stdout.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:
+        # argparse ends --help with 0 and a usage error with 2
+        if not isinstance(exc.code, int):
+            raise
+        code = exc.code
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -21,9 +21,8 @@ O(min(capacity, distinct labels)).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, NamedTuple
 
 
 class MgSummary:
@@ -98,9 +97,9 @@ class MgSummary:
         }
 
 
-@dataclass(frozen=True)
-class MgCertificate:
-    """Exact-oracle audit of a summary against true frequencies.
+class MgCertificate(NamedTuple):
+    """Exact-oracle audit of a summary against true frequencies, as an
+    immutable named tuple.
 
     ``top_k_mass`` is the true count mass of the k most frequent items,
     ``top_k_mass_est`` the summary's estimate of the same items, and

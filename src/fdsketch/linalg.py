@@ -15,7 +15,6 @@ a matrix held in memory.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -45,9 +44,8 @@ def as_matrix(a, name: str = "a") -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class SvdFactors:
-    """Thin SVD ``a = u @ diag(s) @ v.T``.
+class SvdFactors(NamedTuple):
+    """Thin SVD ``a = u @ diag(s) @ v.T``, as an immutable named tuple.
 
     ``u`` is (m, r) and ``v`` is (d, r), both with orthonormal columns;
     ``s`` is the length-r non-increasing vector of singular values.

@@ -65,8 +65,7 @@ from __future__ import annotations
 import copy
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -94,9 +93,10 @@ def squared_row_norms(block: np.ndarray) -> np.ndarray:
         return np.matmul(block[:, None, :], block[:, :, None]).reshape(block.shape[0])
 
 
-@dataclass(frozen=True)
-class FdParams:
-    """Frozen sketch geometry: accuracy knobs plus derived buffer sizes."""
+class FdParams(NamedTuple):
+    """Frozen sketch geometry: accuracy knobs plus derived buffer sizes, as an
+    immutable named tuple. Build one with ``create``, which applies the
+    parameter rule."""
 
     k: int
     eps: float

@@ -1,12 +1,15 @@
 """What each entry point loads.
 
-Importing the package loads no submodule, and ``hh`` and ``--help`` run
-without numpy; each case runs in a fresh interpreter, since this one has
+Importing the package loads no submodule, ``hh`` and ``--help`` run
+without numpy, and no command but ``adversary`` and ``no-sparse-fd`` loads
+``dataclasses``; each case runs in a fresh interpreter, since this one has
 long since loaded everything.
 """
 import json
 import subprocess
 import sys
+
+import pytest
 
 import fdsketch
 
@@ -21,13 +24,14 @@ def _fresh(code: str) -> dict:
 # prints what the interpreter has loaded, and the exit code ``rc``
 _REPORT = (
     "print(json.dumps({'rc': rc, 'numpy': 'numpy' in sys.modules, 'fdsketch': "
-    "sorted(m for m in sys.modules if m.startswith('fdsketch.'))}))"
+    "sorted(m for m in sys.modules if m.startswith('fdsketch.')), "
+    "'dataclasses': 'dataclasses' in sys.modules}))"
 )
 
 
 def test_importing_the_package_loads_no_submodule():
     loaded = _fresh(f"import json, sys\nimport fdsketch\nrc = 0\n{_REPORT}")
-    assert loaded == {"rc": 0, "numpy": False, "fdsketch": []}
+    assert loaded == {"rc": 0, "numpy": False, "fdsketch": [], "dataclasses": False}
 
 
 def _cli_loads(argv: list[str]) -> dict:
@@ -60,6 +64,28 @@ def test_hh_and_help_run_without_numpy(tmp_path):
         assert "fdsketch.sketch" not in loaded["fdsketch"], argv
 
 
+@pytest.mark.filterwarnings("ignore:sketch rows")
+def test_no_command_of_the_sketch_pipeline_loads_dataclasses(tmp_path):
+    rows = tmp_path / "rows.csv"
+    rows.write_text("".join(f"{i % 5}.5,{i % 3}.0,-{i % 7}.25\n" for i in range(40)))
+    items = tmp_path / "items.txt"
+    items.write_text("".join(f"{i % 7}\n" for i in range(1000)))
+    one, two, merged = (str(tmp_path / f"{name}.fdsk") for name in ("one", "two", "merged"))
+    sketch = ["sketch", "--input", str(rows), "--k", "1", "--eps", "0.5"]
+    for argv in (
+        [*sketch, "--out", one],
+        [*sketch, "--c", "2", "--out", two],
+        ["merge", one, two, "--out", merged],
+        ["verify", "--input", str(rows), "--sketch", one],
+        ["hh", "--input", str(items), "--ell", "4"],
+        ["hh", "--input", str(items), "--k", "2", "--eps", "0.5"],
+        ["--help"],
+    ):
+        loaded = _cli_loads(argv)
+        assert loaded["rc"] == 0, argv
+        assert loaded["dataclasses"] is False, argv
+
+
 def test_module_entry_point_help_imports_no_numpy():
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "fdsketch", "--help"],
@@ -69,6 +95,7 @@ def test_module_entry_point_help_imports_no_numpy():
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
     assert "fdsketch.cli" in imported
     assert "numpy" not in imported
+    assert "dataclasses" not in imported
 
 
 def test_matrix_commands_load_what_they_run(tmp_path):

@@ -1024,3 +1024,17 @@ def test_cli_rejects_a_stored_row_whose_squared_norm_overflows(tmp_path, capsys,
     argv = (["verify", "--input", stream, "--sketch", bad] if command == "verify"
             else ["merge", bad, good, "--out", str(tmp_path / "m.fdsk")])
     _assert_clean_exit_two(*_run(capsys, *argv), "squared norm overflows")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["sketch", "verify"])
+def test_cli_rejects_a_stream_row_whose_squared_norm_overflows(tmp_path, capsys, command):
+    rows = np.random.default_rng(42).normal(size=(20, 8))
+    _, good = _sketch_file(tmp_path, rows)
+    rows[7, 3] = 1e200
+    stream = str(tmp_path / "bad.bin")
+    write_rows(stream, rows, "binary")
+    argv = (["verify", "--input", stream, "--sketch", good] if command == "verify"
+            else ["sketch", "--input", stream, "--k", "2", "--eps", "0.5",
+                  "--out", str(tmp_path / "b.fdsk")])
+    _assert_clean_exit_two(*_run(capsys, *argv), "squared norm overflows")
