@@ -11,9 +11,10 @@
 # This script measures both requirements on the instance that pins them
 # against each other: ell rows that each mix a private coordinate with one
 # shared coordinate. Rescaling can only trade mass between the two
-# requirements through the shared column, and an exhaustive scan shows the
-# trade only closes when c <= 2 / ell. A useful sketch needs c on the
-# order of 1, so row-preserving updates are out and the rotation stays.
+# requirements through the shared column, and an exact count of the
+# feasible rescalings shows the trade only closes when c <= 2 / ell. A
+# useful sketch needs c on the order of 1, so row-preserving updates are out
+# and the rotation stays.
 
 from fdsketch.counterexamples import (
     SparseFdInstance,
@@ -33,17 +34,22 @@ val, idx = orthogonal_residual_min(inst.matrix, inst.weights)
 print(f"\ncheapest row to delete: index {idx}, residual {val:.4f}"
       f" (= 1 + 1/{ell}: the shared column makes every deletion overpay)")
 
-# Scan every rescaling alpha in [-2, 2]^(ell-1) at step 0.01 for a given
-# demand c. Feasible means both requirements hold at once.
-print(f"\n{'c':>6} {'feasible points':>16} {'verdict':>10}")
-for c in (2.0, 1.0, 0.75, 0.5):
-    scan = sparse_feasibility_grid(ell, c)
-    verdict = "possible" if not scan.empty else "impossible"
-    print(f"{c:>6} {scan.feasible_count:>16} {verdict:>10}")
+# Count every rescaling alpha in [-2, 2]^(ell-1) at step 0.01 that meets
+# both requirements at once, for each ell up to 10. Both depend on alpha only
+# through its sum, so the count is exact even over the 401^9 points at ell 10.
+demands = ("2/ell", "2/ell+0.1", "1", "2")
+print(f"\n{'ell':>4} {'grid points':>26}" + "".join(f" {d:>10}" for d in demands))
+for rows in range(3, 11):
+    cells = []
+    for c in (2 / rows, 2 / rows + 0.1, 1.0, 2.0):
+        scan = sparse_feasibility_grid(rows, c)
+        cells.append("empty" if scan.empty else "feasible")
+    print(f"{rows:>4} {scan.points_checked:>26}" + "".join(f" {v:>10}" for v in cells))
 
-print(f"\nthe crossover sits exactly at c = 2/ell = {2 / ell}")
+print(f"\nthe crossover sits exactly at c = 2/ell ({2 / ell} at ell = {ell})")
 
-# At the boundary the only move that works is doing nothing at all:
+# At the boundary only rescalings whose reductions sum to zero work, and
+# doing nothing at all is one of them:
 rep = sparse_fd_check(inst, [0.0] * (ell - 1), c=2 / ell)
 print(f"alpha = 0 at c = 2/ell: mass demand met {rep.p1_satisfied}, "
       f"direction safe {rep.p2_satisfied}")

@@ -46,38 +46,4 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_SOURCE_OF))
 
 
-__all__ = [
-    "FdSketch",
-    "FdParams",
-    "ErrorReport",
-    "error_report",
-    "sketch_rows_for",
-    "MgSummary",
-    "MgCertificate",
-    "error_certificate",
-    "SvdFactors",
-    "SvdError",
-    "GapRange",
-    "svd_thin",
-    "best_rank_k",
-    "project_rowspace",
-    "frob_sq",
-    "directional_norm_gap",
-    "gen_adversary",
-    "incremental_pca",
-    "compare_on_adversary",
-    "SparseFdInstance",
-    "orthogonal_residual_min",
-    "sparse_fd_check",
-    "sparse_feasibility_grid",
-    "TrialConfig",
-    "TrialOutcome",
-    "run_trial",
-    "run_suite",
-    "default_grid",
-    "save_sketch",
-    "load_sketch",
-    "read_rows",
-    "write_rows",
-    "__version__",
-]
+__all__ = [*_SOURCE_OF, "__version__"]

@@ -158,7 +158,7 @@ def _cmd_hh(args) -> int:
     summary = MgSummary(ell)
     # the exact histogram grows with the distinct labels; only --k needs it
     exact: Optional[Counter[int]] = Counter() if args.k is not None else None
-    with open(args.input, "r", encoding="ascii") as fh:
+    with open(args.input, "r", encoding="ascii", errors="surrogateescape") as fh:
         lines_done = 0
         while lines := fh.readlines(_HH_CHUNK_CHARS):
             try:
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_adversary)
 
     p = sub.add_parser(
-        "no-sparse-fd", help="feasibility scan for sparse shrink updates"
+        "no-sparse-fd", help="exact feasibility count for sparse shrink updates"
     )
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--c", type=float, required=True)

@@ -13,10 +13,14 @@ spend a constant fraction of the removal budget per step: on a matrix whose
 rows all share one coordinate ("hard instance"), losing at least c*ell*delta
 of Frobenius mass (P1) and at most delta in every direction (P2) are jointly
 impossible once c > 2/ell. The checker evaluates both predicates numerically
-for any re-weighting, and a grid scan demonstrates the empty feasible set.
+for any re-weighting. Both depend on the re-weighting only through its sum,
+so the feasible points of a grid of re-weightings are those whose index sum
+lies in one interval, and a closed-form count over that interval shows the
+feasible set empty above 2/ell, for any ell.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -277,7 +281,7 @@ def sparse_fd_check(
 
 @dataclass(frozen=True)
 class GridScan:
-    """Exhaustive scan of the re-weighting grid for one (ell, c)."""
+    """Exact feasibility count over the re-weighting grid for one (ell, c)."""
 
     ell: int
     c: float
@@ -295,6 +299,27 @@ class GridScan:
         return self.feasible_count == 0
 
 
+def _prefix_len(size: int, inside, estimate: float) -> int:
+    """Length of the prefix of ``range(size)`` on which ``inside``, a test of
+    a nondecreasing grid value against a threshold, holds; ``estimate`` is
+    that length in floats, within a unit or two of the truth by the step
+    check of ``sparse_feasibility_grid``."""
+    if size <= 0 or not inside(0):
+        return 0
+    if inside(size - 1):
+        return size
+    # the threshold lies inside the grid, so the estimate is finite
+    k = min(max(math.ceil(estimate), 1), size - 1)
+    for _ in range(4):
+        if inside(k):
+            k += 1
+        elif not inside(k - 1):
+            k -= 1
+        else:
+            return k
+    raise AssertionError("grid threshold estimate did not settle")
+
+
 def sparse_feasibility_grid(
     ell: int,
     c: float,
@@ -303,49 +328,57 @@ def sparse_feasibility_grid(
     step: float = 0.01,
     delta: float = 1.0,
 ) -> GridScan:
-    """Scan every alpha on the grid [lo, hi]^(ell-1) for joint feasibility.
+    """Count the jointly feasible alpha on the grid [lo, hi]^(ell-1) exactly.
 
     Uses the algebraic reduction of P1 and P2 on the hard instance (both
     depend on alpha only through its sum; the unit tests verify the
     reduction against ``sparse_fd_check`` point by point): P1 holds when
     sum(alpha) >= c*ell*delta - 2 and P2 when sum(alpha) <= 2*delta - 2.
-    The scan is still exhaustive over grid points.
+    Grid value i is lo + step*i, and the first n are at most 2 (a larger
+    one drives a squared weight negative). A tuple of dims = ell - 1 indices
+    with index sum S has sum(alpha) = dims*lo + step*S, so it is feasible
+    exactly when S_lo <= S <= S_hi. By stars and bars with
+    inclusion-exclusion, F(s) = sum_j (-1)^j C(dims, j) C(s - j*n + dims, dims)
+    tuples have index sum at most s, so ``feasible_count`` is
+    F(S_hi) - F(S_lo - 1), and ``witness`` is the lexicographically first
+    feasible tuple, which has index sum S_lo. A step too fine for floats to
+    tell neighbouring grid sums apart is rejected as bad grid bounds.
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    if not step > 0 or not hi >= lo:
+    dims = ell - 1
+    # span bounds every grid value, sum of dims values and difference of two
+    # sums; a step above 8 ulps of it keeps neighbouring sums apart and the
+    # estimates of _prefix_len within a unit or two of the truth
+    span = dims * (abs(lo) + abs(hi))
+    if not (hi >= lo and 8 * math.ulp(span) < step < math.inf):
         raise ValueError("bad grid bounds")
     npts = int(round((hi - lo) / step)) + 1
-    vals = lo + step * np.arange(npts)
-    # re-weightings that would drive a squared weight negative are infeasible
-    vals = vals[vals <= 2.0 + _TOL]
-    npts = vals.size
-    dims = ell - 1
+    cap = 2.0 + _TOL
+    n = _prefix_len(npts, lambda i: lo + step * i <= cap, (cap - lo) / step)
+    base = dims * lo
     p1_floor = c * ell * delta - 2.0 - _TOL
     p2_ceil = 2.0 * delta - 2.0 + _TOL
+    sums = dims * (n - 1) + 1
+    # "not >=" rather than "<", so that a NaN demand admits nothing
+    s_lo = _prefix_len(
+        sums, lambda s: not (base + step * s >= p1_floor), (p1_floor - base) / step
+    )
+    s_hi = _prefix_len(sums, lambda s: base + step * s <= p2_ceil, (p2_ceil - base) / step) - 1
 
-    points_checked = npts**dims
+    def tuples_upto(s: int) -> int:
+        js = range(min(dims, s // n) + 1) if s >= 0 else ()
+        return sum((-1) ** j * math.comb(dims, j) * math.comb(s - j * n + dims, dims) for j in js)
+
     feasible = 0
     witness: Optional[tuple[float, ...]] = None
-    if dims == 1:
-        mask = (vals >= p1_floor) & (vals <= p2_ceil)
-        feasible = int(mask.sum())
-        if feasible:
-            witness = (float(vals[np.argmax(mask)]),)
-    else:
-        pair = vals[:, None] + vals[None, :]
-        for head in np.ndindex(*(npts,) * (dims - 2)):
-            base = sum(vals[i] for i in head)
-            total = pair + base
-            mask = (total >= p1_floor) & (total <= p2_ceil)
-            hits = int(mask.sum())
-            if hits and witness is None:
-                i, j = np.argwhere(mask)[0]
-                witness = tuple(float(vals[t]) for t in head) + (
-                    float(vals[i]),
-                    float(vals[j]),
-                )
-            feasible += hits
+    if s_lo <= s_hi:
+        feasible = tuples_upto(s_hi) - tuples_upto(s_lo - 1)
+        rest, idx = s_lo, []
+        for t in range(dims):
+            idx.append(max(0, rest - (dims - 1 - t) * (n - 1)))
+            rest -= idx[-1]
+        witness = tuple(lo + step * i for i in idx)
     return GridScan(
         ell=ell,
         c=float(c),
@@ -353,7 +386,7 @@ def sparse_feasibility_grid(
         lo=float(lo),
         hi=float(hi),
         step=float(step),
-        points_checked=points_checked,
+        points_checked=n**dims,
         feasible_count=feasible,
         witness=witness,
         threshold_c=2.0 / ell,

@@ -119,7 +119,7 @@ class RowReader:
         self._rows: Optional[Iterator[np.ndarray]] = None
         self._width_line = 0
         if fmt == "csv":
-            self._fh = open(path, "r", encoding="ascii")
+            self._fh = open(path, "r", encoding="ascii", errors="surrogateescape")
         else:
             self._fh = open(path, "rb")
         try:

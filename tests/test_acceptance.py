@@ -343,6 +343,15 @@ def test_c11_no_sparse_reweighting():
     boundary = sparse_feasibility_grid(4, 0.5)
     zero = sparse_fd_check(SparseFdInstance(4, 5), [0.0, 0.0, 0.0], c=0.5)
     grid_ok = grid_ok and not boundary.empty and zero.jointly_satisfied
+    # the same at every ell of the residual check below: nothing feasible
+    # above 2/ell, and a grid witness at 2/ell that the direct check accepts
+    for ell in range(3, 11):
+        above = (2.0 / ell + 0.1, 1.0, 2.0)
+        grid_ok = grid_ok and all(sparse_feasibility_grid(ell, c).empty for c in above)
+        at = sparse_feasibility_grid(ell, 2.0 / ell)
+        grid_ok = grid_ok and at.witness is not None and sparse_fd_check(
+            SparseFdInstance(ell, ell + 1), at.witness, c=2.0 / ell
+        ).jointly_satisfied
 
     # Closed form of the one-row removal residual. Row j is e_1 + e_{j+1}
     # with squared norm 2. The other m = ell - 1 rows have Gram matrix
@@ -364,8 +373,10 @@ def test_c11_no_sparse_reweighting():
     _criterion(
         11, grid_ok and resid_ok,
         f"reweighting grid empty at c in {{0.75,1,2}} with boundary witness "
-        f"at c=0.5: {grid_ok}; removal residual within (1 + 1/ell) +/- 1e-12 "
-        f"for ell 3..10: {resid_ok} (worst deviation {worst:.3e})",
+        f"at c=0.5, and for ell 3..10 empty at c in {{2/ell+0.1,1,2}} with a "
+        f"jointly feasible witness at c=2/ell: {grid_ok}; removal residual "
+        f"within (1 + 1/ell) +/- 1e-12 for ell 3..10: {resid_ok} (worst "
+        f"deviation {worst:.3e})",
     )
 
 

@@ -1,3 +1,7 @@
+import itertools
+import math
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -270,3 +274,77 @@ def test_grid_scan_validation():
         sparse_feasibility_grid(3, 0.5, step=0.0)
     with pytest.raises(ValueError, match="bad grid"):
         sparse_feasibility_grid(3, 0.5, lo=1.0, hi=-1.0)
+
+
+def _enumerated_grid(ell, c, step, lo=-2.0, hi=2.0, delta=1.0):
+    """Reference for ``sparse_feasibility_grid``: visit every grid tuple in
+    lexicographic order and test its sum against both requirements."""
+    npts = int(round((hi - lo) / step)) + 1
+    vals = [lo + step * i for i in range(npts) if lo + step * i <= 2.0 + 1e-9]
+    checked = feasible = 0
+    witness = None
+    for alpha in itertools.product(vals, repeat=ell - 1):
+        checked += 1
+        if c * ell * delta - 2.0 - 1e-9 <= sum(alpha) <= 2.0 * delta - 2.0 + 1e-9:
+            feasible += 1
+            witness = witness or alpha
+    return checked, feasible, witness
+
+
+# every (ell, step) with at most 17**4 grid points; 41**4 takes seconds
+@pytest.mark.parametrize(
+    "ell, step",
+    [(ell, step) for ell in (2, 3, 4, 5) for step in (0.5, 0.25, 0.1) if (ell, step) != (5, 0.1)],
+)
+def test_grid_count_matches_enumeration(ell, step):
+    at = 2.0 / ell
+    for c in (0.25, at - 0.1, at, at + 1e-12, at + 0.1, 1.0):
+        scan = sparse_feasibility_grid(ell, c, step=step)
+        got = (scan.points_checked, scan.feasible_count, scan.witness)
+        assert got == _enumerated_grid(ell, c, step), (ell, c, step)
+
+
+def test_grid_count_matches_enumeration_off_the_default_grid():
+    # values above 2 are cut from the grid, and delta moves both thresholds
+    for ell, c, lo, hi, step, delta in [
+        (3, 0.5, -1.3, 2.7, 0.2, 1.0),
+        (4, 0.4, -0.7, 3.1, 0.3, 1.25),
+        (3, 0.9, 0.5, 2.5, 0.25, 2.0),
+        (2, 1.0, 2.5, 3.0, 0.1, 1.0),
+    ]:
+        scan = sparse_feasibility_grid(ell, c, lo=lo, hi=hi, step=step, delta=delta)
+        got = (scan.points_checked, scan.feasible_count, scan.witness)
+        assert got == _enumerated_grid(ell, c, step, lo, hi, delta)
+
+
+def _tuples_with_index_sum(dims, n, total):
+    """Tuples of dims indices in range(n) with the given sum, by repeated
+    convolution with a run of n ones (prefix sums keep it fast)."""
+    ways = [1]
+    for _ in range(dims):
+        prefix = list(itertools.accumulate(ways, initial=0))
+        ways = [prefix[min(s + 1, len(ways))] - prefix[max(0, s - n + 1)]
+                for s in range(len(ways) + n - 1)]
+    return ways[total]
+
+
+def test_grid_count_reaches_large_ell():
+    # 401**9 grid points, where int64 would overflow. At c = 2/ell only
+    # sum(alpha) = 0 is feasible: 9 indices that sum to 1800
+    scan = sparse_feasibility_grid(10, 0.2)
+    assert scan.points_checked == 401**9
+    assert scan.feasible_count == _tuples_with_index_sum(9, 401, 1800)
+    assert scan.witness == (-2.0, -2.0, -2.0, -2.0, 0.0, 2.0, 2.0, 2.0, 2.0)
+    assert sparse_fd_check(SparseFdInstance(10, 11), scan.witness, c=0.2).jointly_satisfied
+    assert sparse_feasibility_grid(10, 0.3).empty
+    assert sparse_feasibility_grid(100, 1.0).empty
+
+
+def test_grid_rejects_a_step_floats_cannot_resolve():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="bad grid bounds"):
+        sparse_feasibility_grid(4, 1.0, step=1e-300)
+    assert time.perf_counter() - start < 1.0
+    for kwargs in ({"step": math.inf}, {"lo": -math.inf}, {"hi": math.nan}):
+        with pytest.raises(ValueError, match="bad grid bounds"):
+            sparse_feasibility_grid(3, 0.5, **kwargs)

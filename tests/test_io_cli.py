@@ -882,6 +882,30 @@ def test_cli_hh_bad_item_past_the_first_chunk_names_its_line(tmp_path, capsys, b
     assert err == f"{stream}:4321: bad item id '12x4'\n"
 
 
+# A byte no ASCII decoder accepts is a bad token on its own line. Strict
+# decoding failed a whole read chunk instead, as a parameter error naming
+# neither the file nor the line.
+@pytest.mark.parametrize("line", [1, 2, 5001])
+def test_cli_sketch_names_the_line_of_a_non_ascii_byte(tmp_path, capsys, line):
+    body = b"".join(b"%d.0,%d.5\n" % (i, i) for i in range(1, line))
+    stream = tmp_path / "rows.csv"
+    stream.write_bytes(body + b"3.0,2\xe9\n1.0,2.0\n")
+    out = tmp_path / "s.fdsk"
+    rc, text, err = _run(capsys, "sketch", "--input", str(stream), "--k", "1",
+                         "--eps", "1.0", "--out", str(out))
+    _assert_clean_exit_two(rc, text, err, f"input error: {stream}:{line}: bad number")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", [1, 2, 5001])
+def test_cli_hh_names_the_line_of_a_non_ascii_byte(tmp_path, capsys, line):
+    body = b"".join(b"%d\n" % i for i in range(1, line))
+    stream = tmp_path / "items.txt"
+    stream.write_bytes(body + b"7\xff\n3\n")
+    rc, text, err = _run(capsys, "hh", "--input", str(stream), "--ell", "4")
+    _assert_clean_exit_two(rc, text, err, f"{stream}:{line}: bad item id")
+
+
 def test_cli_adversary_writes_stream_and_ratios(tmp_path, capsys):
     out = str(tmp_path / "adv.csv")
     rc, text, _ = _run(capsys, "adversary", "--k", "1", "--d", "2", "--n", "100",
