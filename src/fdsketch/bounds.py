@@ -70,7 +70,6 @@ class ErrorReport(NamedTuple):
     eps: float
     ell: int
     buffer_rows: int
-    mass_bracket_rows: int
     rows_seen: int
     frob_a_sq: float
     frob_q_sq: float
@@ -234,14 +233,13 @@ def error_report(a, sketch: FdSketch) -> ErrorReport:
         ratio = proj_residual_sq / rank_k_residual_sq
 
     identity_residual = abs(fa - fq - p.ell * delta)
-    bracket = snap.mass_bracket_rows
-    if bracket == p.ell:
+    if p.buffer_rows == p.ell:
         mass_window_ok = identity_residual <= identity_tol
     else:
         lost = fa - fq
         mass_window_ok = (
             p.ell * delta <= lost + identity_tol
-            and lost <= bracket * delta + identity_tol
+            and lost <= p.buffer_rows * delta + identity_tol
         )
 
     applicable = rank_k_residual_sq <= rank_k_mass_sq
@@ -251,7 +249,6 @@ def error_report(a, sketch: FdSketch) -> ErrorReport:
         eps=p.eps,
         ell=p.ell,
         buffer_rows=p.buffer_rows,
-        mass_bracket_rows=bracket,
         rows_seen=snap.rows_seen,
         frob_a_sq=fa,
         frob_q_sq=fq,

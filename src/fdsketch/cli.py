@@ -34,6 +34,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from collections import Counter
 from typing import TYPE_CHECKING, NoReturn, Optional, Sequence
 
@@ -224,16 +225,19 @@ def _cmd_adversary(args) -> int:
 
 
 def _cmd_no_sparse_fd(args) -> int:
-    from .counterexamples import (
-        SparseFdInstance,
-        orthogonal_residual_min,
-        sparse_feasibility_grid,
-    )
+    from .counterexamples import SparseFdInstance, sparse_feasibility_grid
 
     d = args.d if args.d is not None else args.ell + 1
     inst = SparseFdInstance(ell=args.ell, d=d)
     grid = sparse_feasibility_grid(args.ell, args.c, step=args.step)
-    resid, argmin = orthogonal_residual_min(inst.matrix)
+    # json prints no int past the interpreter's digit limit, and the
+    # feasible count is at most points_checked
+    limit = sys.get_int_max_str_digits()
+    if limit and grid.points_checked >= 10**limit:
+        raise ValueError(
+            f"ell {args.ell} gives a grid count of more than {limit} digits, "
+            "above the interpreter's int-to-string limit (PYTHONINTMAXSTRDIGITS)"
+        )
     _emit(
         {
             "command": "no-sparse-fd",
@@ -248,8 +252,9 @@ def _cmd_no_sparse_fd(args) -> int:
                 "empty": grid.empty,
                 "witness": list(grid.witness) if grid.witness else None,
             },
-            "residual_min": resid,
-            "residual_argmin": argmin,
+            # every row attains the removal residual; report the first
+            "residual_min": inst.removal_residual,
+            "residual_argmin": 0,
         },
         args.json,
     )
@@ -325,25 +330,37 @@ def _input_errors() -> tuple:
     return (fio.RowStreamError, fio.SketchFormatError) if fio else ()
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning as one ``warning: ...`` line on stderr, as ``verify``
+    prints its own, without the library source line that raised it."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run the command ``argv`` (default ``sys.argv[1:]``) and return its
-    exit code; a usage error or ``--help`` raises argparse's ``SystemExit``."""
+    exit code; a usage error or ``--help`` raises argparse's ``SystemExit``.
+
+    A warning the command raises is printed as one stderr line; the
+    caller's warning filters still decide whether it is shown, and they and
+    ``warnings.showwarning`` are as before once ``main`` returns."""
     args = build_parser().parse_args(argv)
-    try:
-        return args.fn(args)
-    except _input_errors() as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 3
-    except MemoryError as exc:
-        # e.g. a binary header whose width sizes a buffer no machine holds
-        print(f"parameter error: out of memory: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.fn(args)
+        except _input_errors() as exc:
+            print(f"input error: {exc}", file=sys.stderr)
+            return 2
+        except ValueError as exc:
+            print(f"parameter error: {exc}", file=sys.stderr)
+            return 2
+        except OSError as exc:
+            print(f"io error: {exc}", file=sys.stderr)
+            return 3
+        except MemoryError as exc:
+            # e.g. a binary header whose width sizes a buffer no machine holds
+            print(f"parameter error: out of memory: {exc}", file=sys.stderr)
+            return 2
 
 
 def run() -> NoReturn:

@@ -144,6 +144,13 @@ class SparseFdInstance:
         """Row norms; every row has squared norm exactly 2."""
         return np.full(self.ell, np.sqrt(2.0))
 
+    @property
+    def removal_residual(self) -> float:
+        """The squared residual 1 + 1/ell of removing any one row, which
+        ``orthogonal_residual_min`` finds by one projection per row; by
+        symmetry every row attains it."""
+        return 1.0 + 1.0 / self.ell
+
 
 def orthogonal_residual_min(q, weights: Optional[np.ndarray] = None) -> tuple[float, int]:
     """Smallest squared residual of Q against Q with one row removed.
@@ -215,8 +222,8 @@ def sparse_fd_check(
     ``delta`` (checked along ``direction``, default e_1, where the instance
     is tightest). ``delta`` defaults to 1.0, the nominal per-removal charge
     for this construction. It is a normalisation, not the measured cost of a
-    removal, which is 1 + 1/ell (see ``orthogonal_residual_min``); pass None
-    to charge that exact minimum residual instead. Joint satisfiability
+    removal, which is 1 + 1/ell (``instance.removal_residual``); pass None
+    to charge that exact residual instead. Joint satisfiability
     happens exactly when c <= 2/ell under either charge: P1 and P2 reduce to
     c*ell*delta - 2 <= sum(alpha) <= 2*delta - 2, whose ends meet at
     c = 2/ell for every delta > 0.
@@ -231,10 +238,7 @@ def sparse_fd_check(
         raise ValueError("removed_row out of range")
     q = instance.matrix
     w_sq = (q**2).sum(axis=1)
-    if delta is None:
-        delta_val, _ = orthogonal_residual_min(q)
-    else:
-        delta_val = float(delta)
+    delta_val = instance.removal_residual if delta is None else float(delta)
 
     if direction is None:
         x = np.zeros(d)

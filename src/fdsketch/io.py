@@ -11,7 +11,10 @@ Row streams
 Sketch record
     Magic ``FDSK``, version u16, then k, ell, m, d, rows_seen as u64 LE,
     then eps, delta_sum, input_frob_sq as f64 LE, then the m*d row-major
-    float64 buffer. Loading reproduces the stored values bit for bit.
+    float64 buffer. m is the sketch's own ``buffer_rows``, with no padding,
+    so it also sets the lost-mass window ``[ell, m] * delta_sum`` that
+    ``error_report`` checks. Loading reproduces the stored values and
+    ``params`` bit for bit.
 
     The buffer holds its nonzero rows first and at least one zero row. At
     any m, m == ell included, they may hold rows not yet shrunk (a sketch
@@ -276,15 +279,15 @@ def write_rows(path: str, rows, fmt: str = "csv") -> None:
 
 
 def save_sketch(path: str, sk: FdSketch) -> None:
-    """Write ``sk`` to ``path``; on any failure ``path`` is left as it was."""
+    """Write ``sk`` to ``path``; on any failure ``path`` is left as it was.
+
+    A ``rows_seen`` that the u64 field cannot hold (a merge of sketches
+    whose counts sum past it) raises ``ValueError`` before anything is
+    written.
+    """
     p = sk.params
-    # the stored row count carries the lost-mass window width, which a merge
-    # can have widened past this sketch's own buffer; pad with zero rows so
-    # a reload keeps the same (sound) accounting
-    m_out = max(p.buffer_rows, sk.mass_bracket_rows)
-    buf = sk._buf
-    if m_out > p.buffer_rows:
-        buf = np.vstack([buf, np.zeros((m_out - p.buffer_rows, p.d))])
+    if sk.rows_seen >= 2**64:
+        raise ValueError(f"rows_seen {sk.rows_seen} does not fit the sketch file's u64 field")
     # write beside the target and rename over it, so a failed write never
     # leaves a truncated file under the target's name
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
@@ -297,7 +300,7 @@ def save_sketch(path: str, sk: FdSketch) -> None:
                     SKETCH_VERSION,
                     p.k,
                     p.ell,
-                    m_out,
+                    p.buffer_rows,
                     p.d,
                     sk.rows_seen,
                     p.eps,
@@ -306,7 +309,7 @@ def save_sketch(path: str, sk: FdSketch) -> None:
                 )
             )
             # the array's own bytes: no second copy of the buffer
-            fh.write(np.ascontiguousarray(buf, dtype="<f8").data)
+            fh.write(np.ascontiguousarray(sk._buf, dtype="<f8").data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -57,8 +57,9 @@ accumulated in one pass over row blocks, so a stream read from a file is
 never held in memory whole.
 
 Sketches over the same row order are bit-identical between runs; two
-sketches with equal (k, eps, ell, d) can be merged by re-inserting one
-sketch's rows into the other, at the cost of additional shrinkage.
+sketches with equal (k, eps, ell, d) can be merged by re-inserting the rows
+of the one with the smaller buffer into the other, at the cost of additional
+shrinkage.
 """
 from __future__ import annotations
 
@@ -108,7 +109,9 @@ class FdParams(NamedTuple):
     @classmethod
     def create(cls, k: int, eps: float, d: int, batch_factor: float = 1.0) -> "FdParams":
         """The one parameter rule: ``sketch_rows_for``'s rule on (k, eps), d >= 1,
-        and a finite batch factor >= 1 whose buffer size does not overflow."""
+        and a finite batch factor >= 1 whose buffer size does not overflow.
+        The stored ``batch_factor`` is the one the buffer has, ``buffer_rows /
+        ell``, which is all a sketch file records."""
         ell = sketch_rows_for(k, eps)
         if d < 1:
             raise ValueError("d must be >= 1")
@@ -124,7 +127,7 @@ class FdParams(NamedTuple):
                 "hold the stream exactly and shrinkage never happens",
                 stacklevel=3,
             )
-        return cls(k=int(k), eps=float(eps), d=int(d), batch_factor=float(batch_factor),
+        return cls(k=int(k), eps=float(eps), d=int(d), batch_factor=m / ell,
                    ell=ell, buffer_rows=m)
 
 
@@ -204,9 +207,6 @@ class FdSketch:
         self._rows_seen = int(rows_seen)
         self._frob_acc = _KahanSum(input_frob_sq)
         self._delta_acc = _KahanSum(delta_sum)
-        # widest buffer that ever contributed mass to this sketch; grows on
-        # merge and controls how tight the lost-mass accounting can be
-        self._bracket_rows = params.buffer_rows
         self.compress_hook = compress_hook
         # Gram diagonal of the rows the last compression wrote, and the
         # compressions since the Gram matrix was last built in full; None
@@ -279,18 +279,6 @@ class FdSketch:
     @property
     def rows_seen(self) -> int:
         return self._rows_seen
-
-    @property
-    def mass_bracket_rows(self) -> int:
-        """Widest buffer that ever fed this sketch.
-
-        Equal to ``buffer_rows`` for a pure stream. Merging in a sketch built
-        with a larger buffer widens it, and with it the guaranteed window for
-        the lost mass: ``ell * delta_sum <= |A|_F^2 - |Q|_F^2 <=
-        mass_bracket_rows * delta_sum``. When this equals ``ell`` the window
-        collapses to the exact identity.
-        """
-        return self._bracket_rows
 
     @property
     def input_frob_sq(self) -> float:
@@ -635,13 +623,17 @@ class FdSketch:
         return out
 
     def merge(self, other: "FdSketch") -> "FdSketch":
-        """Combine two sketches of the same geometry into a new one.
+        """Combine two sketches of the same (k, eps, ell, d) into a new one.
 
-        The other sketch is flushed (on a copy) and its nonzero rows are
-        re-inserted here, compressing as they fill the buffer; then its row
-        count, input mass and shrink total are added once. Both inputs are
-        left untouched. A combined ``input_frob_sq`` that overflows float64
-        is rejected with ``ValueError`` before any work is done.
+        The input with fewer buffer rows (``other`` at equal buffers) is
+        flushed on a copy and its nonzero rows are re-inserted into a copy
+        of the other, compressing as they fill the buffer; then its row
+        count, input mass and shrink total are added once. The result keeps
+        the wider buffer m, so every compression that fed it lost between
+        ell and m times its shrink value, the window ``error_report`` checks.
+        Both inputs are left untouched. A combined ``input_frob_sq`` that
+        overflows float64 is rejected with ``ValueError`` before any work is
+        done.
         """
         mine, theirs = self.params, other.params
         if (mine.k, mine.eps, mine.ell, mine.d) != (theirs.k, theirs.eps, theirs.ell, theirs.d):
@@ -650,15 +642,14 @@ class FdSketch:
                 f"{(mine.k, mine.eps, mine.ell, mine.d)} vs "
                 f"{(theirs.k, theirs.eps, theirs.ell, theirs.d)}"
             )
-        if not math.isfinite(self._frob_acc.value + other.input_frob_sq):
+        wide, narrow = (other, self) if theirs.buffer_rows > mine.buffer_rows else (self, other)
+        if not math.isfinite(wide._frob_acc.value + narrow.input_frob_sq):
             raise ValueError("merged input_frob_sq overflows float64")
-        out = self.copy()
-        donor = other.copy()
+        out = wide.copy()
+        donor = narrow.copy()
         donor.flush()
         out._store(donor._buf[: donor._nonzero])
         out._rows_seen += donor.rows_seen
         out._frob_acc.add(donor.input_frob_sq)
         out._delta_acc.add(donor.delta_sum)
-        # lost-mass accounting inherits the looser of the two windows
-        out._bracket_rows = max(self._bracket_rows, other._bracket_rows)
         return out

@@ -14,14 +14,15 @@ mid-stream at every ``identity_check_every``-th row against an exactly
 accumulated reference; batched sketches check the two-sided mass window
 instead.
 
-Running ``python -m fdsketch.verify`` executes a default grid and exits
-nonzero if any bound fails.
+Running ``python -m fdsketch.verify`` executes a default grid and exits 1
+if any bound fails, or 2 with one stderr line on a bad argument.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -215,7 +216,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
     ap.add_argument("--json", action="store_true", help="compact single-line JSON")
     args = ap.parse_args(argv)
-    summary = run_suite(default_grid(n=args.n, d=args.d, seeds=args.seeds))
+    try:
+        summary = run_suite(default_grid(n=args.n, d=args.d, seeds=args.seeds))
+    except ValueError as exc:
+        # exit 1 means a violated bound; bad arguments exit 2, as in fdsketch
+        print(f"parameter error: {exc}", file=sys.stderr)
+        return 2
     layout = {"separators": (",", ":")} if args.json else {"indent": 2}
     print(json.dumps(summary, allow_nan=False, **layout))
     return 0 if summary["all_pass"] else 1

@@ -170,6 +170,19 @@ def test_a_mutated_sketch_file_exits_cleanly(data):
             _exits_cleanly(rc, err)
 
 
+def test_a_row_count_past_the_u64_field_fails_the_merge_cleanly(tmp_path):
+    # rows_seen follows the magic, the version and the four u64 fields k,
+    # ell, m, d; at 2^64 - 1 a merge of the file with itself counts past it
+    data = bytearray(_good_files()["s.fdsk"])
+    data[38:46] = struct.pack("<Q", 2**64 - 1)
+    bad = tmp_path / "bad.fdsk"
+    bad.write_bytes(bytes(data))
+    rc, out, err = _cli("merge", bad, bad, "--out", tmp_path / "m.fdsk")
+    assert (rc, out) == (2, "")
+    assert err.count("\n") == 1 and "does not fit the sketch file's u64 field" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.fdsk"]
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(["rows.csv", "rows.bin"]), st.data())
 def test_a_mutated_row_file_exits_cleanly(name, data):

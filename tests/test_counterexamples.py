@@ -125,6 +125,7 @@ def test_hard_instance_residual_exceeds_unit_charge(ell):
     assert_allclose(vals, 1.0 + 1.0 / ell, atol=1e-9)
     best, _ = orthogonal_residual_min(inst.matrix)
     assert_allclose(best, 1.0 + 1.0 / ell, atol=1e-9)
+    assert_allclose(inst.removal_residual, best, atol=1e-9)
 
 
 def test_residual_min_weight_scaling_is_quadratic():

@@ -1,7 +1,10 @@
+import itertools
 import json
+import math
 import struct
 import subprocess
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -189,11 +192,14 @@ def _stream_sketch(rows, **kw):
     return sk
 
 
-def test_sketch_round_trip_preserves_every_bit(tmp_path):
-    rng = np.random.default_rng(0)
-    rows = rng.normal(size=(45, 9))
-    sk = _stream_sketch(rows)
-    path = str(tmp_path / "a.fdsk")
+# batch factors whose buffers differ, a fractional one among them
+_ROUND_TRIP_FACTORS = (1.0, 1.7, 2.0, 3.0)
+
+
+def _assert_round_trip(path: str, sk: FdSketch, rows) -> None:
+    """``sk`` passes every bound against ``rows`` and reloads from ``path``
+    with the same params, counters and buffer bits, still passing."""
+    assert error_report(rows, sk).all_ok
     save_sketch(path, sk)
     back = load_sketch(path)
     assert back.params == sk.params
@@ -201,8 +207,16 @@ def test_sketch_round_trip_preserves_every_bit(tmp_path):
     assert back.delta_sum == sk.delta_sum
     assert back.input_frob_sq == sk.input_frob_sq
     assert_array_equal(back._buf, sk._buf)
-    assert back.mass_bracket_rows == sk.mass_bracket_rows
     assert error_report(rows, back).all_ok
+
+
+def test_sketch_round_trip_preserves_every_bit(tmp_path):
+    rng = np.random.default_rng(0)
+    rows = rng.normal(size=(45, 9))
+    for c in _ROUND_TRIP_FACTORS:
+        sk = _stream_sketch(rows, batch_factor=c)
+        assert sk.buffer_rows == math.ceil(c * sk.ell)
+        _assert_round_trip(str(tmp_path / "a.fdsk"), sk, rows)
 
 
 def test_sketch_resave_is_byte_identical(tmp_path):
@@ -243,16 +257,16 @@ def test_per_row_sketch_saved_before_its_buffer_fills(tmp_path):
 
 
 def test_mixed_merge_bracket_survives_round_trip(tmp_path):
+    # the merge keeps the wider buffer, and with it the lost-mass window, so
+    # the file holds exactly that buffer and reloads as the same sketch
     rng = np.random.default_rng(3)
     rows = rng.normal(size=(40, 6))
-    s1 = _stream_sketch(rows[:20], k=1, eps=0.5)
-    s2 = _stream_sketch(rows[20:], k=1, eps=0.5, batch_factor=3.0)
-    merged = s1.merge(s2)
-    path = str(tmp_path / "m.fdsk")
-    save_sketch(path, merged)
-    back = load_sketch(path)
-    assert back.mass_bracket_rows == s2.buffer_rows
-    assert error_report(rows, back).all_ok
+    for c1, c2 in itertools.product(_ROUND_TRIP_FACTORS, repeat=2):
+        s1 = _stream_sketch(rows[:20], k=1, eps=0.5, batch_factor=c1)
+        s2 = _stream_sketch(rows[20:], k=1, eps=0.5, batch_factor=c2)
+        merged = s1.merge(s2)
+        assert merged.buffer_rows == max(s1.buffer_rows, s2.buffer_rows)
+        _assert_round_trip(str(tmp_path / "m.fdsk"), merged, rows)
 
 
 def test_empty_sketch_round_trip(tmp_path):
@@ -927,12 +941,21 @@ def test_cli_no_sparse_fd_scan(tmp_path, capsys):
     assert payload["grid"]["empty"] is True
     assert payload["grid"]["witness"] is None
     assert abs(payload["residual_min"] - 1.25) < 1e-9
+    # every row attains the residual, so the first one is reported
+    assert payload["residual_argmin"] == 0
     rc, text, _ = _run(capsys, "no-sparse-fd", "--ell", "4", "--c", "0.5",
                        "--step", "0.5")
     assert rc == 0
     payload = json.loads(text)
     assert payload["grid"]["empty"] is False
     assert payload["grid"]["witness"] is not None
+
+
+def test_cli_no_sparse_fd_rejects_a_count_past_the_int_digit_limit(capsys):
+    # 401 grid values per coordinate: 401^1999 has 5206 digits, past the
+    # default limit of 4300 on converting an int to a string
+    rc, text, err = _run(capsys, "no-sparse-fd", "--ell", "2000", "--c", "1")
+    _assert_clean_exit_two(rc, text, err, "more than 4300 digits")
 
 
 def test_cli_compact_json_flag(tmp_path, capsys):
@@ -944,6 +967,28 @@ def test_cli_compact_json_flag(tmp_path, capsys):
     assert rc == 0
     assert text.count("\n") == 1
     json.loads(text)
+
+
+def test_cli_prints_a_library_warning_as_one_line(tmp_path, capsys):
+    # ell = ceil(10 + 10/0.5) = 30 rows exceed d = 20: the library warns
+    stream = tmp_path / "rows.csv"
+    write_rows(str(stream), np.random.default_rng(5).normal(size=(150, 20)), "csv")
+    argv = ["sketch", "--input", str(stream), "--k", "10", "--eps", "0.5",
+            "--out", str(tmp_path / "s.fdsk"), "--json"]
+    proc = subprocess.run([sys.executable, "-m", "fdsketch", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == (
+        "warning: sketch rows ell=30 exceed dimension d=20; the sketch will hold "
+        "the stream exactly and shrinkage never happens\n"
+    )
+    # in-process, the caller's filters decide and its hook is left in place
+    shown = warnings.showwarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc, _, err = _run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    assert warnings.showwarning is shown
 
 
 def test_module_entry_point_runs(tmp_path):

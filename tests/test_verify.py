@@ -154,3 +154,12 @@ def test_module_runs_once_without_import_warning():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["all_pass"] is True
+
+
+@pytest.mark.parametrize("argv", [["--n", "0"], ["--d", "0"], ["--seeds", "-1"]])
+def test_main_exits_two_with_one_line_on_a_bad_argument(capsys, argv):
+    # exit 1 is reserved for a violated bound
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and out.err.startswith("parameter error: ")
