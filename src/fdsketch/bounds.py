@@ -233,14 +233,12 @@ def error_report(a, sketch: FdSketch) -> ErrorReport:
         ratio = proj_residual_sq / rank_k_residual_sq
 
     identity_residual = abs(fa - fq - p.ell * delta)
-    if p.buffer_rows == p.ell:
-        mass_window_ok = identity_residual <= identity_tol
-    else:
-        lost = fa - fq
-        mass_window_ok = (
-            p.ell * delta <= lost + identity_tol
-            and lost <= p.buffer_rows * delta + identity_tol
-        )
+    # the lost mass lies in [ell, m] * delta; at m == ell this is the
+    # identity, with the same float operations as its residual
+    lost = fa - fq
+    mass_window_ok = (
+        -identity_tol <= lost - p.ell * delta and lost - p.buffer_rows * delta <= identity_tol
+    )
 
     applicable = rank_k_residual_sq <= rank_k_mass_sq
 

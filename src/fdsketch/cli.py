@@ -98,7 +98,7 @@ def _cmd_sketch(args) -> int:
         # read a block before the width sizes the buffer, so a bogus width
         # over a short body fails as malformed input, not as an allocation
         first = list(itertools.islice(blocks, 1))
-        sk = FdSketch._from_state(params, np.zeros((params.buffer_rows, params.d)), 0, 0.0, 0.0)
+        sk = FdSketch._from_state(params, np.zeros((params.buffer_rows, params.d)))
         for block in itertools.chain(first, blocks):
             sk.extend(block)
     fio.save_sketch(args.out, sk)
@@ -229,15 +229,8 @@ def _cmd_no_sparse_fd(args) -> int:
 
     d = args.d if args.d is not None else args.ell + 1
     inst = SparseFdInstance(ell=args.ell, d=d)
+    # raises before forming a count too long for json to print
     grid = sparse_feasibility_grid(args.ell, args.c, step=args.step)
-    # json prints no int past the interpreter's digit limit, and the
-    # feasible count is at most points_checked
-    limit = sys.get_int_max_str_digits()
-    if limit and grid.points_checked >= 10**limit:
-        raise ValueError(
-            f"ell {args.ell} gives a grid count of more than {limit} digits, "
-            "above the interpreter's int-to-string limit (PYTHONINTMAXSTRDIGITS)"
-        )
     _emit(
         {
             "command": "no-sparse-fd",

@@ -21,6 +21,7 @@ feasible set empty above 2/ell, for any ell.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -346,7 +347,10 @@ def sparse_feasibility_grid(
     tuples have index sum at most s, so ``feasible_count`` is
     F(S_hi) - F(S_lo - 1), and ``witness`` is the lexicographically first
     feasible tuple, which has index sum S_lo. A step too fine for floats to
-    tell neighbouring grid sums apart is rejected as bad grid bounds.
+    tell neighbouring grid sums apart is rejected as bad grid bounds. A grid
+    of n^dims points with more digits than the interpreter converts to a
+    string (``sys.get_int_max_str_digits``) is rejected before any count is
+    formed, since no report could print the count.
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")
@@ -360,6 +364,14 @@ def sparse_feasibility_grid(
     npts = int(round((hi - lo) / step)) + 1
     cap = 2.0 + _TOL
     n = _prefix_len(npts, lambda i: lo + step * i <= cap, (cap - lo) / step)
+    # the feasible count is at most the point count
+    points = n**dims
+    limit = sys.get_int_max_str_digits()
+    if limit and points >= 10**limit:
+        raise ValueError(
+            f"ell {ell} gives a grid count of more than {limit} digits, "
+            "above the interpreter's int-to-string limit (PYTHONINTMAXSTRDIGITS)"
+        )
     base = dims * lo
     p1_floor = c * ell * delta - 2.0 - _TOL
     p2_ceil = 2.0 * delta - 2.0 + _TOL
@@ -390,7 +402,7 @@ def sparse_feasibility_grid(
         lo=float(lo),
         hi=float(hi),
         step=float(step),
-        points_checked=n**dims,
+        points_checked=points,
         feasible_count=feasible,
         witness=witness,
         threshold_c=2.0 / ell,

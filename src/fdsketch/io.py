@@ -35,7 +35,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .sketch import FdParams, FdSketch, sketch_rows_for, squared_row_norms
+from .sketch import FdParams, FdSketch, _Counters, sketch_rows_for, squared_row_norms
 
 ROWS_MAGIC = b"FDRW"
 SKETCH_MAGIC = b"FDSK"
@@ -360,4 +360,4 @@ def load_sketch(path: str) -> FdSketch:
         raise SketchFormatError(f"{path}: nonzero rows must come first, then a zero row")
     params = FdParams(k=int(k), eps=float(eps), d=int(d), batch_factor=m / ell,
                       ell=int(ell), buffer_rows=int(m))
-    return FdSketch._from_state(params, buf, rows_seen, frob, delta)
+    return FdSketch._from_state(params, buf, _Counters(rows_seen, frob, delta))

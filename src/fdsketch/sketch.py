@@ -152,6 +152,26 @@ class _KahanSum:
         return self.value + self._comp
 
 
+class _Counters:
+    """The stream counters the guarantees are stated in: rows seen, and
+    ``|A|_F^2`` and the shrink total Delta as compensated sums. The record
+    owns how a merge combines them, so ``copy``, ``merge`` and the state
+    constructors carry any field added here without naming it."""
+
+    __slots__ = ("rows_seen", "input_frob_sq", "delta_sum")
+
+    def __init__(self, rows_seen: int = 0, input_frob_sq: float = 0.0, delta_sum: float = 0.0):
+        self.rows_seen = int(rows_seen)
+        self.input_frob_sq = _KahanSum(input_frob_sq)
+        self.delta_sum = _KahanSum(delta_sum)
+
+    def absorb(self, other: "_Counters") -> None:
+        """Add another stream's counters: counts as integers, sums compensated."""
+        self.rows_seen += other.rows_seen
+        self.input_frob_sq.add(other.input_frob_sq.total())
+        self.delta_sum.add(other.delta_sum.total())
+
+
 # cap on the consecutive failed Gram attempts that double the run of
 # compressions sent straight to LAPACK: at most 2**(cap-1) - 1 = 31
 _GRAM_FAILS_CAP = 6
@@ -182,31 +202,29 @@ class FdSketch:
     def __init__(self, k: int, eps: float, d: int, batch_factor: float = 1.0,
                  compress_hook: Optional[CompressHook] = None):
         params = FdParams.create(k, eps, d, batch_factor)
-        self._set_state(params, np.zeros((params.buffer_rows, params.d)), 0, 0.0, 0.0,
+        self._set_state(params, np.zeros((params.buffer_rows, params.d)), _Counters(),
                         compress_hook)
 
     @classmethod
-    def _from_state(cls, params: FdParams, buf: np.ndarray, rows_seen: int,
-                    input_frob_sq: float, delta_sum: float) -> "FdSketch":
-        """Rebuild a sketch from a validated state record, without a hook.
+    def _from_state(cls, params: FdParams, buf: np.ndarray,
+                    counters: Optional[_Counters] = None) -> "FdSketch":
+        """Rebuild a sketch from a validated state, without a hook; the
+        counters default to a zero record, an empty stream's.
 
         ``buf`` holds its nonzero rows first and at least one zero row; all
         of them count as pending, so the first query compresses them.
         """
         sk = cls.__new__(cls)
-        sk._set_state(params, buf, rows_seen, input_frob_sq, delta_sum)
+        sk._set_state(params, buf, _Counters() if counters is None else counters)
         return sk
 
-    def _set_state(self, params: FdParams, buf: np.ndarray, rows_seen: int,
-                   input_frob_sq: float, delta_sum: float,
+    def _set_state(self, params: FdParams, buf: np.ndarray, counters: _Counters,
                    compress_hook: Optional[CompressHook] = None) -> None:
         self.params = params
         self._rows = buf
         self._nonzero = int(np.count_nonzero(buf.any(axis=1)))
         self._pending = self._nonzero
-        self._rows_seen = int(rows_seen)
-        self._frob_acc = _KahanSum(input_frob_sq)
-        self._delta_acc = _KahanSum(delta_sum)
+        self._counters = counters
         self.compress_hook = compress_hook
         # Gram diagonal of the rows the last compression wrote, and the
         # compressions since the Gram matrix was last built in full; None
@@ -278,17 +296,17 @@ class FdSketch:
 
     @property
     def rows_seen(self) -> int:
-        return self._rows_seen
+        return self._counters.rows_seen
 
     @property
     def input_frob_sq(self) -> float:
         """Running squared Frobenius norm of everything appended."""
-        return self._frob_acc.total()
+        return self._counters.input_frob_sq.total()
 
     @property
     def delta_sum(self) -> float:
         """Total shrinkage applied so far."""
-        return self._delta_acc.total()
+        return self._counters.delta_sum.total()
 
     # -- core operations --------------------------------------------------
 
@@ -336,7 +354,7 @@ class FdSketch:
             raise ValueError(f"row has {d} entries, expected {self.params.d}")
         block = np.ascontiguousarray(block, dtype=np.float64)
         norms = squared_row_norms(block)
-        frob = self._frob_acc
+        frob = self._counters.input_frob_sq
         start, stored, error = 0, 0, None
         free = self.params.buffer_rows - self._nonzero
         for i, norm_sq in enumerate(norms.tolist()):
@@ -364,7 +382,7 @@ class FdSketch:
               stored: int) -> None:
         """Count rows ``start:stop`` of a validated block as seen and store
         the ``stored`` nonzero ones among them."""
-        self._rows_seen += stop - start
+        self._counters.rows_seen += stop - start
         if stored:
             rows = block[start:stop]
             self._store(rows if stored == stop - start else rows[norms[start:stop] != 0.0])
@@ -414,9 +432,10 @@ class FdSketch:
         multiplies the rows out, on a schedule set by the row sequence, so
         block cuts still give bit-identical sketches; reading the buffer
         (``_buf``, ``query``, ``copy``, ``save_sketch``, a hook's arguments)
-        computes a copy and never changes later bits, and ``copy()`` copies
-        ``coef`` and ``basis``, so a copy continues bit for bit. Assigning
-        ``_buf`` installs that buffer and ends the deferral.
+        computes a copy and never changes later bits. ``copy()`` is a deep
+        copy, which keeps each array's memory layout (``coef`` is F-ordered
+        while it is W's transpose), and layout picks the BLAS path, so a copy
+        continues bit for bit. Assigning ``_buf`` ends the deferral.
 
         Carried Gram matrix. The rows written are mutually orthogonal, with
         Gram matrix ``diag(max(w[:r] - delta, 0))``; the sketch keeps that
@@ -514,7 +533,7 @@ class FdSketch:
         self._rows[nz:m] = 0.0
         self._nonzero = nz
         self._pending = 0
-        self._delta_acc.add(delta)
+        self._counters.delta_sum.add(delta)
         if self.compress_hook is not None:
             self.compress_hook(before, self._logical(), delta)
         return delta
@@ -609,18 +628,11 @@ class FdSketch:
         return self._buf[: self.params.k].copy()
 
     def copy(self) -> "FdSketch":
-        out = copy.copy(self)
-        # with the deferred form as it is, so the copy compresses bit for bit
-        # as the original would
-        out._rows = self._rows.copy()
-        if self._coef is not None:
-            out._coef = self._coef.copy()
-        if self._basis is not None:
-            out._basis = self._basis.copy()
-        # copied with their compensation terms
-        out._frob_acc = copy.copy(self._frob_acc)
-        out._delta_acc = copy.copy(self._delta_acc)
-        return out
+        """An independent sketch in this exact state, sharing only the hook:
+        one deep copy, so every field is copied and each array keeps its
+        memory layout, which picks the BLAS path, and the copy continues bit
+        for bit as this sketch would."""
+        return copy.deepcopy(self, {id(self.compress_hook): self.compress_hook})
 
     def merge(self, other: "FdSketch") -> "FdSketch":
         """Combine two sketches of the same (k, eps, ell, d) into a new one.
@@ -643,13 +655,11 @@ class FdSketch:
                 f"{(theirs.k, theirs.eps, theirs.ell, theirs.d)}"
             )
         wide, narrow = (other, self) if theirs.buffer_rows > mine.buffer_rows else (self, other)
-        if not math.isfinite(wide._frob_acc.value + narrow.input_frob_sq):
+        if not math.isfinite(wide._counters.input_frob_sq.value + narrow.input_frob_sq):
             raise ValueError("merged input_frob_sq overflows float64")
         out = wide.copy()
         donor = narrow.copy()
         donor.flush()
         out._store(donor._buf[: donor._nonzero])
-        out._rows_seen += donor.rows_seen
-        out._frob_acc.add(donor.input_frob_sq)
-        out._delta_acc.add(donor.delta_sum)
+        out._counters.absorb(donor._counters)
         return out

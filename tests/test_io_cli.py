@@ -951,10 +951,15 @@ def test_cli_no_sparse_fd_scan(tmp_path, capsys):
     assert payload["grid"]["witness"] is not None
 
 
-def test_cli_no_sparse_fd_rejects_a_count_past_the_int_digit_limit(capsys):
+def test_cli_no_sparse_fd_rejects_a_count_past_the_int_digit_limit(capsys, monkeypatch):
     # 401 grid values per coordinate: 401^1999 has 5206 digits, past the
-    # default limit of 4300 on converting an int to a string
-    rc, text, err = _run(capsys, "no-sparse-fd", "--ell", "2000", "--c", "1")
+    # default limit of 4300 on converting an int to a string. At c <= 2/ell
+    # the grid is feasible, and the refusal comes before any count is formed
+    def no_count(*args):
+        raise AssertionError("the feasible count was formed")
+
+    monkeypatch.setattr(math, "comb", no_count)
+    rc, text, err = _run(capsys, "no-sparse-fd", "--ell", "2000", "--c", "0.0005")
     _assert_clean_exit_two(rc, text, err, "more than 4300 digits")
 
 

@@ -877,14 +877,17 @@ def test_reads_never_change_later_bits(tmp_path):
     _assert_same_bits(touched, untouched)
 
 
-def test_copy_made_mid_deferral_continues_bit_for_bit():
+# row 10 comes right after the first deferred compression, while coef is
+# still W's F-ordered transpose; by row 73 it is a C-ordered concatenation
+@pytest.mark.parametrize("at", [10, 73])
+def test_copy_made_mid_deferral_continues_bit_for_bit(at):
     rows = _noisy_low_rank(33, 200, 50)
     s = FdSketch(k=3, eps=0.5, d=50)
-    s.extend(rows[:73])
+    s.extend(rows[:at])
     assert s._coef is not None
     twin = s.copy()
-    s.extend(rows[73:])
-    twin.extend(rows[73:])
+    s.extend(rows[at:])
+    twin.extend(rows[at:])
     _assert_same_bits(twin, s)
 
 
