@@ -8,6 +8,15 @@ Row streams
     row by row or in blocks (of at most ``BLOCK_BYTES`` unless a row count is
     asked for), and knows d before the first row.
 
+    A CSV stream is read ``_CSV_CHUNK_CHARS`` characters of whole lines at a
+    time, and ``np.loadtxt`` parses each chunk. Both it and ``float()`` round
+    through CPython's correctly rounded string-to-double, so the values are
+    the same bits. A chunk that numpy rejects, warns about or reads to another
+    shape, that holds a non-finite value, or that holds a byte in 0x1c-0x1f
+    (which numpy takes as space beside a number and ``float()`` does not)
+    goes through the per-line parser instead. That parser accepts what
+    ``float()`` accepts and names the first bad line.
+
 Sketch record
     Magic ``FDSK``, version u16, then k, ell, m, d, rows_seen as u64 LE,
     then eps, delta_sum, input_frob_sq as f64 LE, then the m*d row-major
@@ -26,11 +35,11 @@ Sketch record
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import os
 import struct
 import sys
+import warnings
 from typing import Iterator, Optional
 
 import numpy as np
@@ -66,6 +75,13 @@ def sniff_format(path: str) -> str:
 # A block of rows holds at most this many bytes (one row, if a row is wider),
 # and a binary stream is read in pieces of at most this many.
 BLOCK_BYTES = 1 << 20
+
+
+# A CSV stream is read in chunks of whole lines of about this many characters.
+_CSV_CHUNK_CHARS = 256 << 10
+
+# Characters np.loadtxt skips beside a number and float() rejects there.
+_LOADTXT_ONLY = "\x1c\x1d\x1e\x1f"
 
 
 def block_rows_for(d: int) -> int:
@@ -105,10 +121,16 @@ class RowReader:
     the rows one at a time; ``blocks()`` yields them as (rows, d) float64
     arrays of ``block_rows_for(d)`` rows, or of a given count (fewer in the
     last one). Every array handed out is fresh, never a view of a buffer the
-    reader reuses, so callers may keep them. ``rows_read`` counts the rows handed out so far.
-    Malformed data raises ``RowStreamError`` with the 1-based line (CSV) or
-    row (binary) number; the header of a binary stream is line 0. The file
-    is closed once the stream is exhausted, or by ``close()``.
+    reader reuses, so callers may keep them. ``rows_read`` counts the rows
+    handed out so far. Malformed data raises ``RowStreamError`` with the
+    1-based line (CSV) or row (binary) number; the header of a binary stream
+    is line 0. The rows before the first bad one are handed out first, in
+    full blocks. The file is closed once the stream is exhausted, or by
+    ``close()``.
+
+    A CSV stream is parsed a chunk of lines at a time by ``np.loadtxt``; a
+    chunk it does not read cleanly goes line by line, with the same values,
+    the same accepted inputs and the same errors as a line-by-line parse.
     """
 
     def __init__(self, path: str, fmt: Optional[str] = None):
@@ -132,14 +154,21 @@ class RowReader:
             raise
 
     def _open_csv(self) -> None:
-        self._lines = enumerate(self._fh, start=1)
-        for line_no, line in self._lines:
-            text = line.strip()
-            if text:
-                self.d = len(text.split(","))
-                self._width_line = line_no
-                self._lines = itertools.chain([(line_no, line)], self._lines)
-                break
+        # lines read but not yet parsed, the parsed rows not yet handed out,
+        # and the error that follows them
+        self._chunk: list = []
+        self._lines_done = 0
+        self._carry = np.empty((0, 0))
+        self._error: Optional[RowStreamError] = None
+        while lines := self._fh.readlines(_CSV_CHUNK_CHARS):
+            for line_no, line in enumerate(lines, start=self._lines_done + 1):
+                text = line.strip()
+                if text:
+                    self.d = len(text.split(","))
+                    self._width_line = line_no
+                    self._chunk = lines
+                    return
+            self._lines_done += len(lines)
 
     def _open_binary(self) -> None:
         header = self._fh.read(_ROWS_HEADER.size)
@@ -192,42 +221,84 @@ class RowReader:
         finally:
             self.close()
 
-    def _check_finite(self, block: np.ndarray, numbers) -> None:
-        """Reject the first row of ``block`` with a non-finite value;
-        ``numbers[i]`` is the line or row number of row i."""
+    def _check_finite(self, block: np.ndarray, first: int) -> None:
+        """Reject the first row of ``block`` with a non-finite value; the
+        block's first row is row ``first`` of the stream."""
         if not np.isfinite(block).all():
             bad = int(np.argmin(np.isfinite(block).all(axis=1)))
-            raise RowStreamError(self.path, numbers[bad], "non-finite value")
+            raise RowStreamError(self.path, first + bad, "non-finite value")
 
     def _csv_blocks(self, size: int) -> Iterator[np.ndarray]:
         d = self.d
-        block, line_nos = np.empty((size, d)), []
-        for line_no, line in self._lines:
+        block, filled = np.empty((size, d)), 0
+        while len(self._carry) or self._parse_next_chunk():
+            take = min(size - filled, len(self._carry))
+            block[filled : filled + take] = self._carry[:take]
+            self._carry = self._carry[take:]
+            filled += take
+            if filled == size:
+                yield block
+                block, filled = np.empty((size, d)), 0
+        if filled:
+            yield block[:filled].copy()
+
+    def _parse_next_chunk(self) -> bool:
+        """Parse chunks until one holds a row; raise the error that follows
+        the rows already parsed, and return False at the end of the stream."""
+        while not len(self._carry):
+            if self._error is not None:
+                raise self._error
+            lines = self._chunk or self._fh.readlines(_CSV_CHUNK_CHARS)
+            if not lines:
+                return False
+            self._chunk = []
+            self._carry = self._parse_chunk(lines, self._lines_done + 1)
+            self._lines_done += len(lines)
+        return True
+
+    def _parse_chunk(self, lines: list, first: int) -> np.ndarray:
+        """The rows of ``lines``, the first of which is line ``first``."""
+        # np.loadtxt skips empty lines; any other line must give one row
+        rows = len(lines) - lines.count("\n")
+        text = "".join(lines)
+        if not any(c in text for c in _LOADTXT_ONLY):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    block = np.loadtxt(lines, delimiter=",", comments=None,
+                                       dtype=np.float64, ndmin=2)
+            except (ValueError, Warning):
+                pass
+            else:
+                if block.shape == (rows, self.d) and np.isfinite(block).all():
+                    return block
+        return self._parse_lines(lines, first)
+
+    def _parse_lines(self, lines: list, first: int) -> np.ndarray:
+        """The rows of ``lines`` before its first bad line, which is then
+        kept as ``_error``; blank lines are skipped."""
+        d = self.d
+        rows = []
+        for line_no, line in enumerate(lines, start=first):
             text = line.strip()
             if not text:
                 continue
             tokens = text.split(",")
-            error = None
             if len(tokens) != d:
                 error = f"expected {d} values, found {len(tokens)}"
             else:
                 try:
-                    block[len(line_nos)] = [float(t) for t in tokens]
+                    row = [float(t) for t in tokens]
                 except ValueError as exc:
                     error = f"bad number: {exc}"
-            if error:
-                # a non-finite value on an earlier line is the first error
-                self._check_finite(block[: len(line_nos)], line_nos)
-                raise RowStreamError(self.path, line_no, error)
-            line_nos.append(line_no)
-            if len(line_nos) == size:
-                self._check_finite(block, line_nos)
-                yield block
-                block, line_nos = np.empty((size, d)), []
-        if line_nos:
-            block = block[: len(line_nos)].copy()
-            self._check_finite(block, line_nos)
-            yield block
+                else:
+                    if all(map(math.isfinite, row)):
+                        rows.append(row)
+                        continue
+                    error = "non-finite value"
+            self._error = RowStreamError(self.path, line_no, error)
+            break
+        return np.array(rows, dtype=np.float64).reshape(len(rows), d)
 
     def _binary_blocks(self, size: int) -> Iterator[np.ndarray]:
         d = self.d
@@ -238,8 +309,7 @@ class RowReader:
             if full:
                 block = np.frombuffer(buf, dtype="<f8", count=full * d)
                 block = block.astype(np.float64, copy=False).reshape(full, d)
-                first = self.rows_read + 1
-                self._check_finite(block, range(first, first + full))
+                self._check_finite(block, self.rows_read + 1)
                 yield block
             if part:
                 raise RowStreamError(self.path, self.rows_read + 1, "truncated row")

@@ -7,7 +7,9 @@ trustworthy at test sizes. The one exception is ``fd_lapack_oracle``, the
 reference for the sketch's Gram-route shrink kernel, which shrinks through
 LAPACK's SVD of the buffer itself and so shares no factorization with it.
 ``mg_linear_oracle`` is the heavy-hitters summary as a plain scan of its
-slots, the reference for the indexed ``MgSummary``.
+slots, the reference for the indexed ``MgSummary``. ``LineCsvReader`` parses
+a CSV row stream one line at a time with ``float()``, the reference for
+``RowReader``'s chunked parse.
 """
 from __future__ import annotations
 
@@ -297,3 +299,79 @@ def mg_linear_oracle(items, capacity: int) -> LinearMgSummary:
     for item in items:
         summary.update(item)
     return summary
+
+
+class LineCsvReader:
+    """The CSV side of ``io.RowReader`` as a line-by-line parse: the same
+    ``d``, ``rows_read``, blocks, rows and errors. A line is blank when
+    ``str.strip`` leaves nothing; a row is d comma-separated ``float()``
+    values, all finite. Rows are checked for finiteness a block at a time,
+    and an earlier non-finite row wins over a later malformed line. An error
+    is a ``ValueError`` with ``RowStreamError``'s ``path:line: message``."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.d = None
+        self.rows_read = 0
+        self._rows = None
+        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+            numbered = list(enumerate(fh, start=1))
+        for line_no, line in numbered:
+            text = line.strip()
+            if text:
+                self.d = len(text.split(","))
+                break
+        self._lines = iter(numbered)
+
+    def blocks(self, size: int):
+        return self._blocks(size) if self.d is not None else iter(())
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if self._rows is None:
+            self._rows = self.blocks(1)
+        return next(self._rows)[0]
+
+    def _blocks(self, size: int):
+        for block in self._csv_blocks(size):
+            self.rows_read += block.shape[0]
+            yield block
+
+    def _error(self, line_no: int, message: str) -> ValueError:
+        return ValueError(f"{self.path}:{line_no}: {message}")
+
+    def _check_finite(self, block: np.ndarray, line_nos) -> None:
+        if not np.isfinite(block).all():
+            bad = int(np.argmin(np.isfinite(block).all(axis=1)))
+            raise self._error(line_nos[bad], "non-finite value")
+
+    def _csv_blocks(self, size: int):
+        d = self.d
+        block, line_nos = np.empty((size, d)), []
+        for line_no, line in self._lines:
+            text = line.strip()
+            if not text:
+                continue
+            tokens = text.split(",")
+            error = None
+            if len(tokens) != d:
+                error = f"expected {d} values, found {len(tokens)}"
+            else:
+                try:
+                    block[len(line_nos)] = [float(t) for t in tokens]
+                except ValueError as exc:
+                    error = f"bad number: {exc}"
+            if error:
+                self._check_finite(block[: len(line_nos)], line_nos)
+                raise self._error(line_no, error)
+            line_nos.append(line_no)
+            if len(line_nos) == size:
+                self._check_finite(block, line_nos)
+                yield block
+                block, line_nos = np.empty((size, d)), []
+        if line_nos:
+            block = block[: len(line_nos)].copy()
+            self._check_finite(block, line_nos)
+            yield block

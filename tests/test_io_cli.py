@@ -719,6 +719,71 @@ def test_cli_malformed_csv_exits_two(tmp_path, capsys):
     assert err.startswith("input error: ") and ":2:" in err
 
 
+def _chunk_lines(path: str) -> int:
+    """Lines in the first chunk the CSV reader parses of ``path``."""
+    with open(path, encoding="ascii") as fh:
+        return len(fh.readlines(fio._CSV_CHUNK_CHARS))
+
+
+@pytest.mark.parametrize("line", [1, 5001])
+def test_cli_control_separator_in_a_field_is_a_bad_number(tmp_path, capsys, line):
+    # np.loadtxt reads "1.0\x1c" as 1.0 and float() does not; a chunk that
+    # holds 0x1c-0x1f goes line by line
+    path = str(tmp_path / "rows.csv")
+    write_rows(path, np.random.default_rng(2).normal(size=(6000, 4)), "csv")
+    assert _chunk_lines(path) < 5001
+    with open(path, encoding="ascii") as fh:
+        lines = fh.readlines()
+    lines[line - 1] = "1.0\x1c,2.0,3.0,4.0\n"
+    with open(path, "w", encoding="ascii") as fh:
+        fh.writelines(lines)
+    rc, _, err = _run(capsys, "sketch", "--input", path, "--k", "1", "--eps", "1.0",
+                      "--out", str(tmp_path / "s.fdsk"))
+    assert rc == 2
+    assert err == (f"input error: {path}:{line}: bad number: "
+                   "could not convert string to float: '1.0\\x1c'\n")
+
+
+def test_csv_reads_what_float_reads(tmp_path):
+    # np.loadtxt rejects "1_0" and whitespace-only lines; float() and the
+    # blank-line rule take them
+    path = tmp_path / "rows.csv"
+    path.write_text("1_0, 2\n \t\n-0 ,\x0b3e0\n")
+    assert read_rows(str(path)).tolist() == [[10.0, 2.0], [-0.0, 3.0]]
+
+
+def test_cli_blank_lines_longer_than_a_chunk(tmp_path, capsys):
+    # a chunk of nothing but empty lines makes np.loadtxt warn, and a warning
+    # would reach stderr as a line of its own
+    blank = "\n" * (fio._CSV_CHUNK_CHARS + 10)
+    stream = tmp_path / "rows.csv"
+    stream.write_text(blank + "1.0,2.0,0.0\n" + blank + "3.0,4.0,1.0\n" + blank)
+    out = str(tmp_path / "s.fdsk")
+    rc, text, err = _run(capsys, "sketch", "--input", str(stream), "--k", "1",
+                         "--eps", "1.0", "--out", out, "--json")
+    assert (rc, err) == (0, "")
+    assert json.loads(text)["rows"] == 2
+    rc, _, err = _run(capsys, "verify", "--input", str(stream), "--sketch", out)
+    assert (rc, err) == (0, "")
+
+
+def test_cli_non_finite_row_at_a_chunk_end_wins_over_a_later_bad_line(tmp_path, capsys):
+    path = str(tmp_path / "rows.csv")
+    write_rows(path, np.random.default_rng(5).normal(size=(8000, 3)), "csv")
+    n = _chunk_lines(path)
+    with open(path, encoding="ascii") as fh:
+        lines = fh.readlines()
+    lines[n - 1] = "1.0,inf,2.0\n"
+    lines[n] = "1.0,2.0\n"
+    with open(path, "w", encoding="ascii") as fh:
+        fh.writelines(lines)
+    assert _chunk_lines(path) == n
+    rc, _, err = _run(capsys, "sketch", "--input", path, "--k", "1", "--eps", "1.0",
+                      "--out", str(tmp_path / "s.fdsk"))
+    assert rc == 2
+    assert err == f"input error: {path}:{n}: non-finite value\n"
+
+
 def test_cli_missing_file_exits_three(tmp_path, capsys):
     rc, _, err = _run(capsys, "sketch", "--input", str(tmp_path / "nope.csv"),
                       "--k", "1", "--eps", "1.0", "--out", str(tmp_path / "s.fdsk"))
