@@ -17,6 +17,18 @@ Row streams
     goes through the per-line parser instead. That parser accepts what
     ``float()`` accepts and names the first bad line.
 
+    With two or more usable CPUs, a CSV stream that is a regular file with a
+    second data chunk (chunks count from the one that holds the first row)
+    is parsed on two processes, if the process runs one thread and has
+    ``os.fork``. A forked worker reopens the file, reads the same chunks, and
+    parses every other one; it sends each result down a pipe with the
+    chunk's line and character counts. The reader still reads every chunk.
+    It takes a worker result only when the counts are those of its own
+    read, and parses the chunk itself otherwise (a short read, a dead
+    worker), so the values, blocks and errors are those of one process. A
+    full pipe stops the worker, so it holds one chunk of text and one parsed
+    chunk however long the stream is; ``close()`` kills and reaps it.
+
 Sketch record
     Magic ``FDSK``, version u16, then k, ell, m, d, rows_seen as u64 LE,
     then eps, delta_sum, input_frob_sq as f64 LE, then the m*d row-major
@@ -35,8 +47,12 @@ Sketch record
 from __future__ import annotations
 
 import contextlib
+import gc
+import itertools
 import math
 import os
+import signal
+import stat
 import struct
 import sys
 import warnings
@@ -60,6 +76,7 @@ class RowStreamError(ValueError):
         super().__init__(f"{path}:{line}: {message}")
         self.path = path
         self.line = line
+        self.message = message
 
 
 class SketchFormatError(ValueError):
@@ -112,6 +129,100 @@ def _read_upto(fh, nbytes: int) -> bytearray:
     return buf
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _parse_chunk(path: str, lines: list, first: int, d: int):
+    """The rows of ``lines``, the first of which is line ``first`` of
+    ``path``, before its first bad line, and the ``RowStreamError`` of that
+    line (None if there is none). Each row has ``d`` values."""
+    # np.loadtxt skips empty lines; any other line must give one row
+    rows = len(lines) - lines.count("\n")
+    text = "".join(lines)
+    if not any(c in text for c in _LOADTXT_ONLY):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                block = np.loadtxt(lines, delimiter=",", comments=None,
+                                   dtype=np.float64, ndmin=2)
+        except (ValueError, Warning):
+            pass
+        else:
+            if block.shape == (rows, d) and np.isfinite(block).all():
+                return block, None
+    return _parse_lines(path, lines, first, d)
+
+
+def _parse_lines(path: str, lines: list, first: int, d: int):
+    """``_parse_chunk`` one line at a time; blank lines are skipped."""
+    rows = []
+    error = None
+    for line_no, line in enumerate(lines, start=first):
+        text = line.strip()
+        if not text:
+            continue
+        tokens = text.split(",")
+        if len(tokens) != d:
+            message = f"expected {d} values, found {len(tokens)}"
+        else:
+            try:
+                row = [float(t) for t in tokens]
+            except ValueError as exc:
+                message = f"bad number: {exc}"
+            else:
+                if all(map(math.isfinite, row)):
+                    rows.append(row)
+                    continue
+                message = "non-finite value"
+        error = RowStreamError(path, line_no, message)
+        break
+    return np.array(rows, dtype=np.float64).reshape(len(rows), d), error
+
+
+# one worker result on the pipe: the chunk's lines and characters, its rows,
+# the line of its error (0 if none) and the error message's bytes; then the
+# rows as float64 and the message as UTF-8
+_WORKER_RESULT = struct.Struct("=5Q")
+
+
+def _csv_worker(path: str, lines_before: int, d: int, out) -> None:
+    """The forked worker: read ``path`` in the reader's chunks and parse
+    data chunks 1, 3, 5, ..., where data chunk 0 starts after line
+    ``lines_before``. Write each result to ``out`` and stop after one that
+    holds an error. A full pipe blocks the write, so the worker runs ahead of
+    the reader by at most what the pipe buffers, and itself holds one chunk
+    of text and one parsed chunk."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        done = 0
+        while done < lines_before:
+            lines = fh.readlines(_CSV_CHUNK_CHARS)
+            if not lines:
+                return
+            done += len(lines)
+        for index in itertools.count():
+            lines = fh.readlines(_CSV_CHUNK_CHARS)
+            if not lines:
+                return
+            first = done + 1
+            done += len(lines)
+            if index % 2 == 0:
+                continue
+            rows, error = _parse_chunk(path, lines, first, d)
+            message = b"" if error is None else error.message.encode("utf-8", "surrogatepass")
+            out.write(_WORKER_RESULT.pack(len(lines), sum(map(len, lines)), len(rows),
+                                          0 if error is None else error.line, len(message)))
+            out.write(np.ascontiguousarray(rows).data)
+            out.write(message)
+            out.flush()
+            if error is not None:
+                return
+
+
 class RowReader:
     """An open row stream (CSV or binary; ``fmt=None`` sniffs the magic) that
     knows its width before its first row.
@@ -131,6 +242,10 @@ class RowReader:
     A CSV stream is parsed a chunk of lines at a time by ``np.loadtxt``; a
     chunk it does not read cleanly goes line by line, with the same values,
     the same accepted inputs and the same errors as a line-by-line parse.
+    From the first block or row on, a forked worker may parse every other
+    chunk (see the module notes). It is reaped when the stream is exhausted
+    or raises and by ``close()``, so close a reader that is not read to its
+    end, or use it in a ``with`` block.
     """
 
     def __init__(self, path: str, fmt: Optional[str] = None):
@@ -143,6 +258,7 @@ class RowReader:
         self.rows_read = 0
         self._rows: Optional[Iterator[np.ndarray]] = None
         self._width_line = 0
+        self._worker: Optional[tuple] = None
         if fmt == "csv":
             self._fh = open(path, "r", encoding="ascii", errors="surrogateescape")
         else:
@@ -154,10 +270,11 @@ class RowReader:
             raise
 
     def _open_csv(self) -> None:
-        # lines read but not yet parsed, the parsed rows not yet handed out,
-        # and the error that follows them
-        self._chunk: list = []
+        # chunks read but not yet parsed, data chunks parsed so far, the
+        # parsed rows not yet handed out, and the error that follows them
+        self._ahead: list = []
         self._lines_done = 0
+        self._taken = 0
         self._carry = np.empty((0, 0))
         self._error: Optional[RowStreamError] = None
         while lines := self._fh.readlines(_CSV_CHUNK_CHARS):
@@ -166,7 +283,7 @@ class RowReader:
                 if text:
                     self.d = len(text.split(","))
                     self._width_line = line_no
-                    self._chunk = lines
+                    self._ahead = [lines]
                     return
             self._lines_done += len(lines)
 
@@ -205,6 +322,7 @@ class RowReader:
 
     def close(self) -> None:
         self._fh.close()
+        self._stop_worker()
 
     def __enter__(self) -> "RowReader":
         return self
@@ -244,61 +362,85 @@ class RowReader:
 
     def _parse_next_chunk(self) -> bool:
         """Parse chunks until one holds a row; raise the error that follows
-        the rows already parsed, and return False at the end of the stream."""
+        the rows already parsed, and return False at the end of the stream.
+        The worker's parse of an odd data chunk is taken if it has one."""
         while not len(self._carry):
             if self._error is not None:
                 raise self._error
-            lines = self._chunk or self._fh.readlines(_CSV_CHUNK_CHARS)
+            if not self._taken:
+                self._start_worker()
+            lines = self._ahead.pop(0) if self._ahead else self._fh.readlines(_CSV_CHUNK_CHARS)
             if not lines:
                 return False
-            self._chunk = []
-            self._carry = self._parse_chunk(lines, self._lines_done + 1)
+            first = self._lines_done + 1
             self._lines_done += len(lines)
+            parsed = self._worker_result(lines) if self._worker and self._taken % 2 else None
+            self._taken += 1
+            self._carry, self._error = parsed or _parse_chunk(self.path, lines, first, self.d)
         return True
 
-    def _parse_chunk(self, lines: list, first: int) -> np.ndarray:
-        """The rows of ``lines``, the first of which is line ``first``."""
-        # np.loadtxt skips empty lines; any other line must give one row
-        rows = len(lines) - lines.count("\n")
-        text = "".join(lines)
-        if not any(c in text for c in _LOADTXT_ONLY):
+    def _start_worker(self) -> None:
+        """Read the second data chunk ahead; if there is one and the stream
+        is a regular file, fork a worker on a second CPU."""
+        second = self._fh.readlines(_CSV_CHUNK_CHARS)
+        if not second:
+            return
+        self._ahead.append(second)
+        threads = sys.modules.get("threading")
+        if not (hasattr(os, "fork") and _usable_cpus() >= 2
+                and (threads is None or threads.active_count() == 1)
+                and stat.S_ISREG(os.fstat(self._fh.fileno()).st_mode)):
+            return
+        rfd, wfd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(rfd)
+            os.close(wfd)
+            return
+        if pid == 0:
+            code = 1
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    block = np.loadtxt(lines, delimiter=",", comments=None,
-                                       dtype=np.float64, ndmin=2)
-            except (ValueError, Warning):
-                pass
-            else:
-                if block.shape == (rows, self.d) and np.isfinite(block).all():
-                    return block
-        return self._parse_lines(lines, first)
+                os.close(rfd)
+                # a collection would write to every inherited object's page
+                gc.disable()
+                with open(wfd, "wb") as out:
+                    _csv_worker(self.path, self._lines_done, self.d, out)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(wfd)
+        self._worker = (pid, open(rfd, "rb", buffering=0))
 
-    def _parse_lines(self, lines: list, first: int) -> np.ndarray:
-        """The rows of ``lines`` before its first bad line, which is then
-        kept as ``_error``; blank lines are skipped."""
-        d = self.d
-        rows = []
-        for line_no, line in enumerate(lines, start=first):
-            text = line.strip()
-            if not text:
-                continue
-            tokens = text.split(",")
-            if len(tokens) != d:
-                error = f"expected {d} values, found {len(tokens)}"
-            else:
-                try:
-                    row = [float(t) for t in tokens]
-                except ValueError as exc:
-                    error = f"bad number: {exc}"
-                else:
-                    if all(map(math.isfinite, row)):
-                        rows.append(row)
-                        continue
-                    error = "non-finite value"
-            self._error = RowStreamError(self.path, line_no, error)
-            break
-        return np.array(rows, dtype=np.float64).reshape(len(rows), d)
+    def _worker_result(self, lines: list):
+        """The worker's (rows, error) for ``lines``, or None, and no worker
+        from then on, if it sends none whose line and character counts are
+        those of ``lines``."""
+        pipe = self._worker[1]
+        head = _read_upto(pipe, _WORKER_RESULT.size)
+        if len(head) == _WORKER_RESULT.size:
+            n_lines, chars, n_rows, error_line, size = _WORKER_RESULT.unpack(head)
+            values = n_rows * self.d
+            if (n_lines, chars) == (len(lines), sum(map(len, lines))):
+                body = _read_upto(pipe, 8 * values + size)
+                if len(body) == 8 * values + size:
+                    rows = np.frombuffer(body, np.float64, values).reshape(n_rows, self.d)
+                    error = None
+                    if error_line:
+                        message = body[8 * values :].decode("utf-8", "surrogatepass")
+                        error = RowStreamError(self.path, error_line, message)
+                    return rows, error
+        self._stop_worker()
+        return None
+
+    def _stop_worker(self) -> None:
+        if self._worker is not None:
+            pid, pipe = self._worker
+            self._worker = None
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
 
     def _binary_blocks(self, size: int) -> Iterator[np.ndarray]:
         d = self.d
@@ -399,14 +541,14 @@ def load_sketch(path: str) -> FdSketch:
             raise SketchFormatError(f"{path}: bad magic, not a sketch file")
         if version != SKETCH_VERSION:
             raise SketchFormatError(f"{path}: unsupported version {version}")
-        body = fh.read()
-    expected = 8 * m * d
+        if not (1 <= k < ell <= m and d >= 1):
+            raise SketchFormatError(f"{path}: inconsistent geometry in header")
+        # one byte past the buffer tells a long file without reading all of it
+        expected = 8 * m * d
+        body = _read_upto(fh, expected + 1)
     if len(body) != expected:
-        raise SketchFormatError(
-            f"{path}: buffer holds {len(body)} bytes, expected {expected}"
-        )
-    if not (1 <= k < ell <= m and d >= 1):
-        raise SketchFormatError(f"{path}: inconsistent geometry in header")
+        held = len(body) if len(body) < expected else f"more than {expected}"
+        raise SketchFormatError(f"{path}: buffer holds {held} bytes, expected {expected}")
     buf = np.frombuffer(body, dtype="<f8").astype(np.float64).reshape(m, d)
     if not (np.isfinite([eps, delta, frob]).all() and np.isfinite(buf).all()):
         raise SketchFormatError(f"{path}: non-finite value in header or buffer")

@@ -1,9 +1,11 @@
 import itertools
 import json
 import math
+import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -1126,6 +1128,31 @@ def _sketch_file(tmp_path, rows):
     sk.extend(rows)
     save_sketch(path, sk)
     return stream, path
+
+
+@pytest.mark.parametrize("command", ["verify", "merge"])
+def test_a_sketch_file_with_a_long_tail_is_rejected_unread(tmp_path, capsys, command):
+    # 64 MiB of zeros after a valid sketch: loading reads one byte past the
+    # buffer, not the tail, so the tail never sits in memory
+    rows = np.random.default_rng(43).normal(size=(20, 8))
+    stream, good = _sketch_file(tmp_path, rows)
+    body = os.path.getsize(good) - struct.calcsize("<4sH5Q3d")
+    bad = str(tmp_path / "long.fdsk")
+    with open(bad, "wb") as fh:
+        fh.write((tmp_path / "s.fdsk").read_bytes())
+        fh.truncate(os.path.getsize(good) + (64 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SketchFormatError,
+                           match=f"buffer holds more than {body} bytes, expected {body}$"):
+            load_sketch(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    argv = (["verify", "--input", stream, "--sketch", bad] if command == "verify"
+            else ["merge", good, bad, "--out", str(tmp_path / "m.fdsk")])
+    _assert_clean_exit_two(*_run(capsys, *argv), "input error:")
 
 
 @pytest.mark.filterwarnings("error")
