@@ -113,9 +113,17 @@ class ErrorReport(NamedTuple):
         return all(self.bounds().values())
 
 
-def _stream_gram(blocks: Iterable, d: int) -> tuple[np.ndarray, float, int]:
-    """``A^T A``, ``|A|_F^2`` and the row count of the rows in ``blocks``
-    (2-D arrays or single rows), which must all have ``d`` columns.
+def _stream_gram(
+    blocks: Iterable, d: int, hold: int
+) -> tuple[list[np.ndarray] | None, np.ndarray | None, float, int]:
+    """The rows in ``blocks`` (2-D arrays or single rows), which must all
+    have ``d`` columns, as ``(held, gram, |A|_F^2, n)``.
+
+    While at most ``hold`` rows have arrived the blocks are kept as they
+    come, unchanged and uncopied, and ``held`` is their list with ``gram``
+    None. When one more row arrives they are folded in order into
+    ``gram = A^T A`` and dropped, and every later block is folded as it
+    comes; ``held`` is then None.
 
     A stream whose ``|A|_F^2`` overflows float64 breaks the sketch's ingest
     rule and raises its ``ValueError``; every entry of ``A^T A`` is at most
@@ -125,7 +133,8 @@ def _stream_gram(blocks: Iterable, d: int) -> tuple[np.ndarray, float, int]:
 
     from .linalg import as_matrix, frob_sq
 
-    gram = np.zeros((d, d))
+    # a sketch wider than d (hold < 0) holds no rows
+    held, gram = ([], None) if hold >= 0 else (None, np.zeros((d, d)))
     fa = 0.0
     n = 0
     for block in blocks:
@@ -141,10 +150,53 @@ def _stream_gram(blocks: Iterable, d: int) -> tuple[np.ndarray, float, int]:
             mass = frob_sq(arr)
         if not math.isfinite(fa + mass):
             raise ValueError("row's squared norm overflows the running |A|_F^2")
-        gram += arr.T @ arr
         fa += mass
         n += arr.shape[0]
-    return gram, fa, n
+        if held is not None:
+            if n <= hold:
+                held.append(arr)
+                continue
+            gram = np.zeros((d, d))
+            for part in held:
+                gram += part.T @ part
+            held = None
+        gram += arr.T @ arr
+    return held, gram, fa, n
+
+
+def _row_spectra(
+    held: list[np.ndarray], q: np.ndarray, basis: np.ndarray, k: int
+) -> tuple[float, float, float, float, float]:
+    """``|A|_F^2``, the top-k mass of A, ``|A W|_F^2`` and the extreme
+    eigenvalues of ``A^T A - Q^T Q``, for A the held blocks stacked and W
+    ``basis``, from one QR of ``[A; Q]^T``; empties ``held``.
+
+    With ``M = [A; Q]`` (n + ell <= d rows here) and ``J = diag(I_n, -I_ell)``,
+    ``A^T A - Q^T Q = M^T J M``. If ``M^T = U R``, with U's columns
+    orthonormal, that is ``U (R J R^T) U^T``, whose nonzero eigenvalues are
+    those of the small ``R J R^T``; the rest are 0 when n + ell < d. The
+    nonzero eigenvalues of ``A^T A`` are those of ``A A^T = R11^T R11``, R11
+    the leading n x n block of R.
+    """
+    import numpy as np
+
+    from .linalg import frob_sq
+
+    m = np.concatenate(held + [q])
+    held.clear()
+    n, d = m.shape[0] - q.shape[0], m.shape[1]
+    fa = frob_sq(m[:n])
+    proj_mass_sq = frob_sq(m[:n] @ basis)
+    r = np.linalg.qr(m.T, mode="r")
+    del m
+    r11 = r[:n, :n]
+    w = np.linalg.eigvalsh(r11.T @ r11)
+    rank_k_mass_sq = float(np.maximum(w[::-1][:k], 0.0).sum())
+    w = np.linalg.eigvalsh(r[:, :n] @ r[:, :n].T - r[:, n:] @ r[:, n:].T)
+    if r.shape[1] < d:
+        # the d - n - ell directions orthogonal to every row of M
+        w = np.append(w, 0.0)
+    return fa, rank_k_mass_sq, proj_mass_sq, float(w.max()), float(w.min())
 
 
 def error_report(a, sketch: FdSketch) -> ErrorReport:
@@ -156,27 +208,50 @@ def error_report(a, sketch: FdSketch) -> ErrorReport:
     directional bounds, in stream order if the mass identity is to be exact.
     The sketch is flushed on a copy, so the caller's object is not mutated.
 
-    One pass accumulates ``G = A^T A`` (d x d) and ``|A|_F^2`` block by
-    block; no more than one block of A is held here at a time. Every quantity
-    is a function of the two, with ``w`` the eigenvalues of G and W an
+    One pass reads the stream, with ``G = A^T A`` (d x d) and W an
     orthonormal basis of the row space of Q_k (``linalg.rowspace_basis``, the
-    ``PINV_REL_CUTOFF`` convention):
+    ``PINV_REL_CUTOFF`` convention). Every quantity is a function of A:
 
-        |A - A_k|_F^2             = |A|_F^2 - (sum of the top k of w)
-        |A - proj_{Q_k}(A)|_F^2   = |A|_F^2 - tr(W^T G W)
+        |A - A_k|_F^2             = |A|_F^2 - (sum of the top k eigenvalues of G)
+        |A - proj_{Q_k}(A)|_F^2   = |A|_F^2 - |A W|_F^2
         max/min of |Ax|^2 - |Qx|^2 = extreme eigenvalues of G - Q^T Q
 
+    Two routes compute them, chosen by the row count n alone:
+
+    - Row route, n <= d - ell. The blocks are held as they arrive (an array
+      argument is held, never copied or changed), so the held rows take no
+      more memory than G would. At the end ``M = [A; Q]`` is stacked once,
+      the blocks are dropped, and one QR ``M^T = U R`` gives both spectra
+      from (n + ell)-sized matrices: the top-k mass from ``A A^T = R11^T R11``
+      (R11 the leading n x n block of R) and the gaps from ``R J R^T``,
+      ``J = diag(I_n, -I_ell)``, with the eigenvalue 0 joined when
+      n + ell < d. |A|_F^2 is summed over the stacked rows, so every cut of
+      the stream into blocks gives the same report. Memory is O((n + ell) d).
+    - Gram route, from the first row past d - ell. The held blocks are folded
+      into G in stream order, each later block as it arrives, and the
+      spectra are two d x d eigensolves, of G and of ``G - Q^T Q``. Memory is
+      O(d^2) plus one block.
+
     Both residuals are clamped at 0. Each is |A|_F^2 minus a sum of
-    eigenvalues or Rayleigh quotients of G, so its absolute error is that of
-    the d x d eigensolve: a backward-stable symmetric eigensolver returns the
-    eigenvalues of G + E with ``|E|_2 = O(d * 2^-52 * |G|_2)``, and
-    ``|G|_2 <= |A|_F^2``, so the error grows like ``d * 2^-52 * |A|_F^2``
+    eigenvalues or squared projections, so its absolute error is that of the
+    factorization. On the Gram route a backward-stable symmetric eigensolver
+    returns the eigenvalues of G + E with ``|E|_2 = O(d * 2^-52 * |G|_2)``,
+    and ``|G|_2 <= |A|_F^2``, so the error grows like ``d * 2^-52 * |A|_F^2``
     (summing the rows into G and |A|_F^2 adds the rounding any route that
-    sums them has). A residual below
-    ``tiny = max(1e-12, d * 2^-52) * |A|_F^2`` is therefore
-    indistinguishable from 0, and when both are below it ``proj_err_ratio``
+    sums them has). On the row route Householder QR is backward stable: R is
+    the exact factor of M^T plus a perturbation of
+    ``O(d * 2^-52 * |M|_F)``, so the spectra err by
+    ``O(d * 2^-52 * (|A|_F^2 + |Q|_F^2))``, and ``|Q|_F^2 <= |A|_F^2``. Its
+    perturbation is column by column, each row of M moved relative to its
+    own norm, so R11, and with it the rank-k mass, errs relative to
+    |A|_F^2 alone; |A W|_F^2 is a product and sum of A's rows. The same
+    ``d * 2^-52 * |A|_F^2`` order therefore bounds both residuals on both
+    routes, and a residual below ``tiny = max(1e-12, d * 2^-52) * |A|_F^2``
+    is indistinguishable from 0: when both are below it ``proj_err_ratio``
     is 1; when only the rank-k residual is 0 the ratio is infinite. For
     d <= 4503, ``d * 2^-52 < 1e-12`` and ``tiny`` is ``1e-12 * |A|_F^2``.
+    The gaps, whose row-route error also sees |Q|_F^2, are checked against
+    ``slack = 1e-9 * |A|_F^2``, far above ``2 d * 2^-52 * |A|_F^2``.
 
     Every tolerance is also at least ``floor = (n + m) * d * 2^-1074`` for n
     stream rows and m buffer rows, because relative tolerances fail in gradual
@@ -186,7 +261,7 @@ def error_report(a, sketch: FdSketch) -> ErrorReport:
     and |Q|_F^2 one of m * d, so the 2 (n + m) d products and additions that
     form them move the two, and each bound that compares them, by up to
     ``floor`` together when they underflow; the sketch's own factorizations
-    and the d x d eigensolves contribute errors of that order per entry. Two
+    and the final factorizations contribute errors of that order per entry. Two
     rows ``[4.7e-162]`` show it: |A|_F^2 = 5e-323 and |Q|_F^2 = 4.4e-323
     differ by one step, while ``1e-8 * |A|_F^2`` rounds to 0. While
     (n + m) d < 2^60 (8 EiB of float64 entries), ``floor < 2^-1014 < 1e-305``,
@@ -197,13 +272,28 @@ def error_report(a, sketch: FdSketch) -> ErrorReport:
     from .linalg import frob_sq, rowspace_basis
 
     d = sketch.d
-    gram, fa, n = _stream_gram(a if isinstance(a, Iterator) else (a,), d)
-
     snap = sketch.copy()
     snap.flush()
     q = snap.query()
     qk = snap.query_topk()
     p = snap.params
+    basis = rowspace_basis(qk)
+
+    held, gram, fa, n = _stream_gram(a if isinstance(a, Iterator) else (a,), d, d - p.ell)
+    if gram is None:
+        fa, rank_k_mass_sq, proj_mass_sq, max_gap, min_gap = _row_spectra(held, q, basis, p.k)
+    else:
+        w = np.linalg.eigvalsh(gram)
+        rank_k_mass_sq = float(np.maximum(w[::-1][: p.k], 0.0).sum())
+        proj_mass_sq = float(((gram @ basis) * basis).sum())
+        gram -= q.T @ q
+        # symmetrize away accumulation noise before the eigensolve
+        gram += gram.T
+        gram *= 0.5
+        w = np.linalg.eigvalsh(gram)
+        max_gap, min_gap = float(w[-1]), float(w[0])
+    rank_k_residual_sq = max(fa - rank_k_mass_sq, 0.0)
+    proj_residual_sq = max(fa - proj_mass_sq, 0.0)
 
     fq = frob_sq(q)
     fqk = frob_sq(qk)
@@ -212,18 +302,6 @@ def error_report(a, sketch: FdSketch) -> ErrorReport:
     slack = max(INEQ_REL_TOL * fa, floor)
     identity_tol = max(IDENTITY_REL_TOL * fa, floor)
     tiny = max(max(1e-12, d * 2.0**-52) * fa, floor)
-
-    w = np.linalg.eigvalsh(gram)
-    rank_k_mass_sq = float(np.maximum(w[::-1][: p.k], 0.0).sum())
-    rank_k_residual_sq = max(fa - rank_k_mass_sq, 0.0)
-    basis = rowspace_basis(qk)
-    proj_residual_sq = max(fa - float(((gram @ basis) * basis).sum()), 0.0)
-    gram -= q.T @ q
-    # symmetrize away accumulation noise before the eigensolve
-    gram += gram.T
-    gram *= 0.5
-    w = np.linalg.eigvalsh(gram)
-    max_gap, min_gap = float(w[-1]), float(w[0])
 
     if proj_residual_sq <= tiny and rank_k_residual_sq <= tiny:
         ratio = 1.0

@@ -123,7 +123,7 @@ def _cmd_verify(args) -> int:
 
     sk = fio.load_sketch(args.sketch)
     with fio.RowReader(args.input, args.format) as rows:
-        # before error_report allocates its d x d accumulator
+        # before error_report holds rows or allocates its d x d accumulator
         rows.check_width(sk.d)
         report = error_report(rows.blocks(), sk)
     if rows.rows_read != sk.rows_seen:

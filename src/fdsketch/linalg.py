@@ -8,10 +8,11 @@ spectral gap helper the error bounds are stated in.
 
 The sketch's shrink step factorizes its buffer through the buffer's Gram
 matrix (see ``FdSketch.compress``) and calls ``svd_thin`` only as its exact
-fallback. ``error_report`` works from the stream's Gram matrix and takes only
-``rowspace_basis`` of the sketch from here; ``best_rank_k``,
-``project_rowspace`` and ``directional_norm_gap`` are the same quantities for
-a matrix held in memory.
+fallback. ``error_report`` works from the stream's rows, with one QR of
+``[A; Q]^T``, while they number at most d - ell, and from the stream's Gram
+matrix beyond; it takes only ``rowspace_basis`` of the sketch from here.
+``best_rank_k``, ``project_rowspace`` and ``directional_norm_gap`` are the
+same quantities for a matrix held in memory.
 """
 from __future__ import annotations
 

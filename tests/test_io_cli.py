@@ -390,6 +390,30 @@ def test_cli_sketch_then_verify(tmp_path, capsys):
     assert err == ""
 
 
+@pytest.mark.parametrize("n", [0, 3])
+def test_cli_verify_of_a_short_wide_stream_needs_no_d_by_d_matrix(tmp_path, capsys, n):
+    # d = 2^17: a d x d accumulator would be 128 GiB, while Q is 3 x 2^17
+    # (3 MiB); with n + ell <= d the report works from the rows
+    d = 1 << 17
+    stream = str(tmp_path / "rows.bin")
+    out = str(tmp_path / "s.fdsk")
+    write_rows(stream, np.random.default_rng(47).normal(size=(n, d)), "binary")
+    rc, text, _ = _run(capsys, "sketch", "--input", stream, "--k", "1",
+                       "--eps", "0.5", "--out", out, "--json")
+    assert rc == 0
+    assert json.loads(text)["ell"] == 3
+    tracemalloc.start()
+    try:
+        rc, text, err = _run(capsys, "verify", "--input", stream, "--sketch", out, "--json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, err) == (0, "")
+    report = json.loads(text)
+    assert report["all_pass"] is True and report["report"]["rows"] == n
+    assert peak < 40 << 20
+
+
 def test_cli_payload_keys_and_order(tmp_path, capsys):
     rng = np.random.default_rng(10)
     rows = rng.normal(size=(20, 4))

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
+import fdsketch.bounds as fbounds
 import fdsketch.sketch as fsk
 from fdsketch.linalg import directional_norm_gap, frob_sq
 from fdsketch.sketch import (
@@ -522,17 +523,31 @@ def _report_streams():
         "exact rank 3 at k=5": (rank3, 5, 1.0),
         "n < d": (rng.normal(size=(30, 80)), 4, 1.0),
         "n > d": (low_rank + 0.05 * rng.normal(size=(300, 40)), 3, 2.0),
+        # the rest take the row route while n + ell <= d (ell = 30 at k=10,
+        # ell = 12 at k=4)
+        "shard-merge shape, n + ell <= d": (_ill_scaled(rng, 48, 80, 6, 4), 10, 1.0),
+        "n + ell = d - 1": (rng.normal(size=(27, 40)), 4, 1.0),
+        "n + ell = d": (rng.normal(size=(28, 40)), 4, 2.0),
+        "n + ell = d + 1": (rng.normal(size=(29, 40)), 4, 1.0),
+        "rank 2 with zero rows, n < d": (
+            np.insert(rng.normal(size=(16, 2)) @ rng.normal(size=(2, 50)), [0, 5, 5, 16], 0.0, axis=0),
+            4, 1.0),
+        "empty": (np.zeros((0, 30)), 4, 1.0),
     }
 
 
 @pytest.mark.parametrize("name", list(_report_streams()))
-def test_streaming_report_matches_materialized_oracle(name):
+def test_streaming_report_matches_materialized_oracle(name, monkeypatch):
     rows, k, batch_factor = _report_streams()[name]
     s = FdSketch(k=k, eps=0.5, d=rows.shape[1], batch_factor=batch_factor)
     s.extend(rows)
+    row_route = []
+    real = fbounds._row_spectra
+    monkeypatch.setattr(fbounds, "_row_spectra", lambda *a: row_route.append(1) or real(*a))
     # the report streams in row blocks; the oracle holds the whole matrix
     blocks = iter(np.array_split(rows, 7))
     rep = error_report(blocks, s)
+    assert row_route == ([1] if rows.shape[0] + s.ell <= rows.shape[1] else [])
     want = report_oracle(rows, s.query(), s.query_topk(), k)
     tol = 1e-12 * want["frob_a_sq"]
     for field, value in want.items():
@@ -564,6 +579,32 @@ def test_report_is_one_block_of_the_stream():
     assert error_report(iter([rows]), s) == one
     with pytest.raises(ValueError, match="columns"):
         error_report(iter([rows[:3], rows[3:, :5]]), s)
+
+
+def test_row_route_report_is_one_block_of_the_stream():
+    # n + ell = 50 + 12 <= 80: the rows are stacked before any arithmetic,
+    # so every cut into blocks gives the same report, bit for bit
+    rows = np.random.default_rng(20).normal(size=(50, 80))
+    s = FdSketch(k=4, eps=0.5, d=80)
+    s.extend(rows)
+    one = error_report(rows, s)
+    assert one.all_ok
+    for blocks in (iter(rows), iter(np.array_split(rows, 5))):
+        assert error_report(blocks, s) == one
+
+
+def test_row_route_gaps_include_the_null_space():
+    # with no stream rows, A^T A - Q^T Q = -Q^T Q: R J R^T = -R R^T is negative
+    # definite for a full-rank Q, but the d - ell directions orthogonal to Q
+    # give the eigenvalue 0, the largest gap
+    s = FdSketch(k=1, eps=0.5, d=10)
+    s._buf[:] = np.random.default_rng(21).normal(size=s._buf.shape)
+    rep = error_report(np.zeros((0, 10)), s)
+    want = directional_norm_gap(np.zeros((0, 10)), s.query())
+    tol = 1e-12 * frob_sq(s.query())
+    assert rep.max_dir_gap == 0.0 and abs(want.max_gap) <= tol
+    assert abs(rep.min_dir_gap - want.min_gap) <= tol
+    assert not rep.gap_lower_ok
 
 
 @settings(max_examples=60, deadline=None)
