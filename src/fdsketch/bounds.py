@@ -176,7 +176,7 @@ def _row_spectra(
     orthonormal, that is ``U (R J R^T) U^T``, whose nonzero eigenvalues are
     those of the small ``R J R^T``; the rest are 0 when n + ell < d. The
     nonzero eigenvalues of ``A^T A`` are those of ``A A^T = R11^T R11``, R11
-    the leading n x n block of R.
+    the leading n x n block of R, and so those of ``R11 R11^T``.
     """
     import numpy as np
 
@@ -190,9 +190,15 @@ def _row_spectra(
     r = np.linalg.qr(m.T, mode="r")
     del m
     r11 = r[:n, :n]
-    w = np.linalg.eigvalsh(r11.T @ r11)
+    # R[:, :n] is R11 over zeros, so R J R^T is R11 R11^T in its leading
+    # block minus R[:, n:] R[:, n:]^T
+    top = r11 @ r11.T
+    w = np.linalg.eigvalsh(top)
     rank_k_mass_sq = float(np.maximum(w[::-1][:k], 0.0).sum())
-    w = np.linalg.eigvalsh(r[:, :n] @ r[:, :n].T - r[:, n:] @ r[:, n:].T)
+    gap = r[:, n:] @ r[:, n:].T
+    np.negative(gap, out=gap)
+    gap[:n, :n] += top
+    w = np.linalg.eigvalsh(gap)
     if r.shape[1] < d:
         # the d - n - ell directions orthogonal to every row of M
         w = np.append(w, 0.0)
@@ -222,8 +228,9 @@ def error_report(a, sketch: FdSketch) -> ErrorReport:
       argument is held, never copied or changed), so the held rows take no
       more memory than G would. At the end ``M = [A; Q]`` is stacked once,
       the blocks are dropped, and one QR ``M^T = U R`` gives both spectra
-      from (n + ell)-sized matrices: the top-k mass from ``A A^T = R11^T R11``
-      (R11 the leading n x n block of R) and the gaps from ``R J R^T``,
+      from (n + ell)-sized matrices: the top-k mass from ``R11 R11^T``,
+      which has the eigenvalues of ``A A^T = R11^T R11`` (R11 the leading
+      n x n block of R), and the gaps from ``R J R^T``,
       ``J = diag(I_n, -I_ell)``, with the eigenvalue 0 joined when
       n + ell < d. |A|_F^2 is summed over the stacked rows, so every cut of
       the stream into blocks gives the same report. Memory is O((n + ell) d).
