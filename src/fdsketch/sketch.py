@@ -52,9 +52,10 @@ and, with ``ell = ceil(k + k/eps)``, the relative-error family
 
 where A_k is the best rank-k approximation of the stream so far and Q_k the
 top k rows of the sketch. ``error_report`` (from ``bounds``, bound here too)
-evaluates all of these from the stream's Gram matrix A^T A and |A|_F^2,
-accumulated in one pass over row blocks, so a stream read from a file is
-never held in memory whole.
+evaluates all of these in one pass over row blocks: from the rows
+themselves while they number at most d - ell, and from the stream's Gram
+matrix A^T A and |A|_F^2 beyond, so a stream read from a file is held in
+memory only while it is no larger than A^T A.
 
 Sketches over the same row order are bit-identical between runs; two
 sketches with equal (k, eps, ell, d) can be merged by re-inserting the rows

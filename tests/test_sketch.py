@@ -541,13 +541,19 @@ def test_streaming_report_matches_materialized_oracle(name, monkeypatch):
     rows, k, batch_factor = _report_streams()[name]
     s = FdSketch(k=k, eps=0.5, d=rows.shape[1], batch_factor=batch_factor)
     s.extend(rows)
-    row_route = []
     real = fbounds._row_spectra
-    monkeypatch.setattr(fbounds, "_row_spectra", lambda *a: row_route.append(1) or real(*a))
+    row_route = []
+
+    def spy(*args):
+        row_route.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fbounds, "_row_spectra", spy)
     # the report streams in row blocks; the oracle holds the whole matrix
     blocks = iter(np.array_split(rows, 7))
     rep = error_report(blocks, s)
-    assert row_route == ([1] if rows.shape[0] + s.ell <= rows.shape[1] else [])
+    # the row route runs exactly when n + ell <= d
+    assert len(row_route) == (rows.shape[0] + s.ell <= rows.shape[1])
     want = report_oracle(rows, s.query(), s.query_topk(), k)
     tol = 1e-12 * want["frob_a_sq"]
     for field, value in want.items():
