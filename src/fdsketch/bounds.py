@@ -258,7 +258,8 @@ def error_report(a, sketch: FdSketch) -> ErrorReport:
     is 1; when only the rank-k residual is 0 the ratio is infinite. For
     d <= 4503, ``d * 2^-52 < 1e-12`` and ``tiny`` is ``1e-12 * |A|_F^2``.
     The gaps, whose row-route error also sees |Q|_F^2, are checked against
-    ``slack = 1e-9 * |A|_F^2``, far above ``2 d * 2^-52 * |A|_F^2``.
+    ``slack = 1e-9 * |A|_F^2``, which exceeds ``2 d * 2^-52 * |A|_F^2`` for
+    d < 2.2e6.
 
     Every tolerance is also at least ``floor = (n + m) * d * 2^-1074`` for n
     stream rows and m buffer rows, because relative tolerances fail in gradual
@@ -279,6 +280,8 @@ def error_report(a, sketch: FdSketch) -> ErrorReport:
     from .linalg import frob_sq, rowspace_basis
 
     d = sketch.d
+    # the snapshot's arrays are made before the held blocks, so freeing the
+    # blocks before the row route's QR can return their memory
     snap = sketch.copy()
     snap.flush()
     q = snap.query()
