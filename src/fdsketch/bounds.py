@@ -116,8 +116,9 @@ class ErrorReport(NamedTuple):
 def _stream_gram(
     blocks: Iterable, d: int, hold: int
 ) -> tuple[list[np.ndarray] | None, np.ndarray | None, float, int]:
-    """The rows in ``blocks`` (2-D arrays or single rows), which must all
-    have ``d`` columns, as ``(held, gram, |A|_F^2, n)``.
+    """The rows in ``blocks`` (real 2-D arrays or single 1-D rows; any other
+    block raises ``ValueError``, as ``FdSketch.append`` rejects it), which
+    must all have ``d`` columns, as ``(held, gram, |A|_F^2, n)``.
 
     While at most ``hold`` rows have arrived the blocks are kept as they
     come, unchanged and uncopied, and ``held`` is their list with ``gram``
@@ -138,12 +139,11 @@ def _stream_gram(
     fa = 0.0
     n = 0
     for block in blocks:
-        arr = np.asarray(block, dtype=np.float64)
-        if arr.size == 0 and arr.shape[-1] == 0:
+        arr = as_matrix(block)
+        if arr.size == 0 and arr.shape[1] == 0:
             # an empty stream without a width (``[]``, an empty CSV) takes the
             # sketch's; an empty stream of another width is a mismatch
             continue
-        arr = as_matrix(arr)
         if arr.shape[1] != d:
             raise ValueError(f"matrix has {arr.shape[1]} columns, sketch expects {d}")
         with np.errstate(over="ignore"):

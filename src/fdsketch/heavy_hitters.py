@@ -12,16 +12,17 @@ then identity or ``==``. Labels that are equal collapse to one counter
 (``1``, ``1.0`` and ``True`` share a slot); a label that is not equal to
 itself, such as NaN, matches only the very object that claimed the slot.
 
-Cost: a hit, a slot claim and an :meth:`MgSummary.estimate` take O(1)
-expected time. A decrement round walks the occupied slots once, which is
-O(capacity), but it removes ``capacity + 1`` units of count that arrivals
+Cost: :meth:`MgSummary.extend` is the one ingest loop, and ``update`` is a
+one-item ``extend``. A hit is one dict lookup and two list stores; a slot
+claim pops a stack of free slots, O(1); an :meth:`MgSummary.estimate` is one
+lookup, O(1) expected. A decrement round rewrites the counts in place, which
+is O(capacity), but it removes ``capacity + 1`` units of count that arrivals
 put in, so a stream of n arrivals spends O(n) on all rounds together:
 amortized O(1) per arrival. Storage grows with the labels seen, so memory is
 O(min(capacity, distinct labels)).
 """
 from __future__ import annotations
 
-from heapq import heappop
 from typing import Hashable, Iterable, Mapping, NamedTuple
 
 
@@ -37,50 +38,61 @@ class MgSummary:
         self._labels: list[Hashable] = []
         self._counts: list[int] = []
         self._slot_of: dict[Hashable, int] = {}
-        # min-heap of free slots, so the lowest-indexed one is claimed first
-        # and replays stay bit-identical
+        # free slots in descending order, so pop() claims the lowest-indexed
+        # one and replays stay bit-identical
         self._free: list[int] = []
         self.n_processed = 0
         self.decrement_total = 0
 
     def update(self, item: Hashable) -> None:
-        """Fold one arrival into the summary."""
-        self.n_processed += 1
-        slot = self._slot_of.get(item)
-        if slot is not None:
-            # the slot reports the label as it last arrived (1.0 after 1)
-            self._labels[slot] = item
-            self._counts[slot] += 1
-            return
-        if self._free:
-            slot = heappop(self._free)
-            self._labels[slot] = item
-            self._counts[slot] = 1
-        elif len(self._counts) < self.capacity:
-            slot = len(self._counts)
-            self._labels.append(item)
-            self._counts.append(1)
-        else:
-            self._decrement_all()
-            return
-        self._slot_of[item] = slot
-
-    def _decrement_all(self) -> None:
-        """The round a full summary runs for an arrival it has no slot for."""
-        self.decrement_total += 1
-        counts = [count - 1 for count in self._counts]
-        # ascending, hence already a valid heap; the heap was empty, since
-        # a round runs only when every slot is taken
-        freed = [slot for slot, count in enumerate(counts) if not count]
-        for slot in freed:
-            del self._slot_of[self._labels[slot]]
-            self._labels[slot] = None
-        self._counts = counts
-        self._free = freed
+        """Fold one arrival into the summary: a one-item :meth:`extend`."""
+        self.extend((item,))
 
     def extend(self, items: Iterable[Hashable]) -> None:
-        for item in items:
-            self.update(item)
+        """Fold arrivals into the summary in order.
+
+        The one ingest loop: every cut of a stream into ``extend`` calls and
+        ``update`` calls gives the same summary. An arrival is counted once
+        its lookup succeeds, so an unhashable one raises ``TypeError`` with
+        the summary exactly as the arrivals before it left it.
+        """
+        slot_of = self._slot_of
+        get = slot_of.get
+        labels = self._labels
+        counts = self._counts
+        free = self._free
+        capacity = self.capacity
+        n = 0
+        try:
+            for item in items:
+                slot = get(item)
+                n += 1
+                if slot is not None:
+                    # the slot reports the label as it last arrived (1.0 after 1)
+                    labels[slot] = item
+                    counts[slot] += 1
+                elif free:
+                    slot = free.pop()
+                    labels[slot] = item
+                    counts[slot] = 1
+                    slot_of[item] = slot
+                elif len(counts) < capacity:
+                    slot_of[item] = len(counts)
+                    labels.append(item)
+                    counts.append(1)
+                else:
+                    # full of other labels: every counter drops by one and
+                    # the arrival is discarded; free was empty, as a round
+                    # runs only when every slot is taken
+                    self.decrement_total += 1
+                    counts[:] = [count - 1 for count in counts]
+                    free.extend(slot for slot, count in enumerate(counts) if not count)
+                    free.reverse()
+                    for slot in free:
+                        del slot_of[labels[slot]]
+                        labels[slot] = None
+        finally:
+            self.n_processed += n
 
     def estimate(self, item: Hashable) -> int:
         """Stored count for ``item``, or 0 when it holds no slot."""

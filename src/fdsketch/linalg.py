@@ -34,8 +34,11 @@ class SvdError(ValueError):
 
 
 def as_matrix(a, name: str = "a") -> np.ndarray:
-    """Coerce to a 2-D float64 array and reject non-finite entries."""
-    arr = np.asarray(a, dtype=np.float64)
+    """Coerce to a 2-D float64 array; reject complex and non-finite entries."""
+    arr = np.asarray(a)
+    if arr.dtype.kind == "c":
+        raise ValueError(f"{name} has complex entries")
+    arr = arr.astype(np.float64, copy=False)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2:

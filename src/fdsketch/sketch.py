@@ -315,11 +315,17 @@ class FdSketch:
         """Consume one stream row: a one-row block of ``extend``.
 
         A row is rejected with ``ValueError`` before any counter moves when
-        it has the wrong length, a non-finite entry, or a squared norm that
-        overflows float64 on its own or added to ``input_frob_sq``; the
-        sketch is then exactly as before the call. Rows are never rescaled.
+        it is not 1-D, has a complex dtype, has the wrong length, a
+        non-finite entry, or a squared norm that overflows float64 on its own
+        or added to ``input_frob_sq``; the sketch is then exactly as before
+        the call. Rows are never rescaled.
         """
-        self._ingest(np.asarray(row, dtype=np.float64).reshape(1, -1))
+        row = np.asarray(row)
+        if row.ndim != 1:
+            raise ValueError(f"row must be 1-D, got shape {row.shape}")
+        if row.dtype.kind == "c":
+            raise ValueError("row has complex entries")
+        self._ingest(row.reshape(1, -1))
 
     def extend(self, rows) -> None:
         """Consume stream rows in order.

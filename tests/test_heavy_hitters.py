@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from fdsketch.heavy_hitters import MgCertificate, MgSummary, error_certificate
 from fdsketch.verify import zipf_item_stream
-from oracles import mg_linear_oracle
+from oracles import LinearMgSummary, mg_linear_oracle
 
 
 def test_capacity_must_be_positive():
@@ -176,6 +176,74 @@ def test_index_matches_linear_scan_on_mixed_labels(stream, capacity):
     summary.extend(stream)
     probes = stream + [99, "zz", (5, "x"), 2.5]
     _assert_same_summary(summary, mg_linear_oracle(stream, capacity), probes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(MIXED_LABELS, max_size=120), st.integers(1, 8), st.data())
+def test_cuts_into_extend_and_update_calls_change_nothing(stream, capacity, data):
+    # the loop keeps its state in locals for a call, so only cuts between
+    # calls show a state it fails to write back; cut around the rounds that
+    # free slots: before one, right after it, both (an update), or neither
+    oracle = LinearMgSummary(capacity)
+    cuts = set(data.draw(st.lists(st.integers(0, len(stream)), max_size=6)))
+    for i, item in enumerate(stream):
+        rounds, held = oracle.decrement_total, len(oracle.items())
+        oracle.update(item)
+        if oracle.decrement_total > rounds and len(oracle.items()) < held:
+            cuts.update(data.draw(st.sampled_from([(), (i,), (i + 1,), (i, i + 1)])))
+    edges = sorted(cuts | {0, len(stream)})
+    summary = MgSummary(capacity)
+    for lo, hi in zip(edges, edges[1:]):
+        if hi - lo == 1 and data.draw(st.booleans()):
+            summary.update(stream[lo])
+        else:
+            summary.extend(iter(stream[lo:hi]))
+    whole = MgSummary(capacity)
+    whole.extend(stream)
+    probes = stream + [99, "zz", (5, "x"), 2.5]
+    _assert_same_summary(summary, whole, probes)
+    _assert_same_summary(summary, oracle, probes)
+
+
+def test_unhashable_arrival_is_rejected_before_it_is_counted():
+    s = MgSummary(2)
+    with pytest.raises(TypeError):
+        s.update([1])
+    assert (s.n_processed, s.decrement_total, s.items()) == (0, 0, {})
+    # the certificate's histogram holds the accepted arrivals only
+    assert error_certificate(s, {}, k=1).n == 0
+    s.update(1)
+    assert error_certificate(s, {1: 1}, k=1).n == 1
+
+
+class _StreamBroke(Exception):
+    pass
+
+
+def _breaks_after(items):
+    yield from items
+    raise _StreamBroke
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 3])
+def test_an_extend_that_fails_midway_keeps_the_accepted_prefix(capacity):
+    # rounds at capacity 1-3 fall all over this stream, so some failures come
+    # right after a round that freed slots
+    stream = [1, 2, 1, 3, 4, 1, 5, 5, 6, 2, 7, 1, 1, 8]
+    probes = stream + [99]
+    for j in range(len(stream) + 1):
+        # an unhashable arrival at j, then an iterator that raises after j
+        for bad in (stream[:j] + [{}] + stream[j:], _breaks_after(stream[:j])):
+            s = MgSummary(capacity)
+            with pytest.raises((TypeError, _StreamBroke)):
+                s.extend(bad)
+            by_update = MgSummary(capacity)
+            for item in stream[:j]:
+                by_update.update(item)
+            _assert_same_summary(s, by_update, probes)
+            # and the summary goes on as if the failed arrival never came
+            s.extend(stream[j:])
+            _assert_same_summary(s, mg_linear_oracle(stream, capacity), probes)
 
 
 def test_index_matches_linear_scan_on_zipf_at_capacity_128():

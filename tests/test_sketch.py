@@ -67,6 +67,67 @@ def test_append_validates_rows():
     assert s.rows_seen == 0
 
 
+# complex entries would be cast to their real parts with only a warning:
+# |A|_F^2 is 24, but the real parts carry 18
+_COMPLEX_ROWS = np.array([[1 + 2j, 3, 0, 0, 0], [0, 1j, 0, 0, 2], [1, 1, 1, 1, 1j]])
+
+
+@pytest.mark.parametrize("feed", ["extend", "append", "rows", "list"])
+def test_complex_rows_are_rejected_before_counting(feed):
+    s = FdSketch(k=1, eps=0.5, d=5)
+    s.append(np.ones(5))
+    before = (s.rows_seen, s.input_frob_sq, s.query().copy())
+    with pytest.raises(ValueError, match="complex"):
+        if feed == "extend":
+            s.extend(_COMPLEX_ROWS)
+        elif feed == "append":
+            s.append(_COMPLEX_ROWS[0])
+        elif feed == "rows":
+            s.extend(list(_COMPLEX_ROWS))
+        else:
+            s.append([1, 2, 3, 4, 1j])
+    assert (s.rows_seen, s.input_frob_sq) == before[:2]
+    assert_array_equal(s.query(), before[2])
+
+
+@pytest.mark.parametrize("rows", [np.ones((2, 3, 4)), np.ones((1, 1, 12)), np.ones(12)])
+def test_extend_rejects_rows_that_are_not_1d(rows):
+    # each row of a 3-D array is 2-D, each row of a 1-D array a scalar; none
+    # is flattened into a row of 12 entries
+    s = FdSketch(k=1, eps=0.5, d=12)
+    with pytest.raises(ValueError, match="1-D"):
+        s.extend(rows)
+    assert s.rows_seen == 0
+    assert s.input_frob_sq == 0.0
+
+
+@pytest.mark.parametrize("row", [np.ones((3, 4)), np.ones((1, 12)), 1.0])
+def test_append_rejects_a_row_that_is_not_1d(row):
+    s = FdSketch(k=1, eps=0.5, d=12)
+    with pytest.raises(ValueError, match="1-D"):
+        s.append(row)
+    assert s.rows_seen == 0
+
+
+@pytest.mark.parametrize("blocks", [
+    _COMPLEX_ROWS,
+    iter([_COMPLEX_ROWS.real, _COMPLEX_ROWS]),
+    iter(list(_COMPLEX_ROWS)),
+])
+def test_report_rejects_complex_blocks(blocks):
+    s = FdSketch(k=1, eps=0.5, d=5)
+    s.extend(_COMPLEX_ROWS.real)
+    with pytest.raises(ValueError, match="complex"):
+        error_report(blocks, s)
+
+
+@pytest.mark.parametrize("block", [np.ones((2, 3, 4)), np.float64(1.0)])
+def test_report_rejects_blocks_of_other_dimensions(block):
+    s = FdSketch(k=1, eps=0.5, d=12)
+    with pytest.raises(ValueError, match="2-dimensional"):
+        error_report(iter([np.ones((1, 12)), block]), s)
+
+
 def test_append_rejects_overflowing_norm_before_counting():
     s = FdSketch(k=1, eps=1.0, d=5)
     s.append(np.ones(5))
