@@ -17,16 +17,18 @@ When that route cannot resolve the spectrum (a rank-deficient or badly
 conditioned buffer, or one at least as tall as it is wide) the buffer goes
 through LAPACK's thin SVD instead; ``FdSketch.compress`` states the exact
 cutoff. The rows a compression writes are mutually orthogonal, so their Gram
-matrix is the diagonal ``max(s^2 - delta, 0)``: the sketch carries it, and
-the next compression computes only the Gram rows of the rows stored since.
-It rebuilds ``B B^T`` in full after a load or a fallback and at least every
-``min(ell, 2^10)`` compressions, which keeps the carried matrix's rounding
-drift a factor 4 inside the fallback cutoff (``compress`` gives the budget).
-A compression that adds one row (batch factor 1) defers the rotation: the
-kept rows stay as a small coefficient matrix times stored rows, multiplied
-out at the next rebuild or when 2m rows are stored, so such a row costs
-amortized O(ell d + m^3) with the m x m eigensolve. A compression that adds
-several rows (batch factor above 1) rotates the buffer directly, O(ell m d).
+matrix is the diagonal ``max(s^2 - delta, 0)``. One rule uses it: a
+compression that adds one row (every one at batch factor 1 once the buffer
+has filled) while a deferral runs is a deferred step. It leaves the rotation
+unapplied, the kept rows staying a small coefficient matrix times stored
+rows, and borders the carried diagonal with the new row's Gram row, so it
+costs O(m d + m^3) with the m x m eigensolve. Every other compression
+multiplies those rows out and builds ``B B^T`` whole; with one new row it
+starts a deferral, with several (batch factor above 1) it rotates the buffer
+directly, O(ell m d). A deferral ends after ``min(ell, 2^10)`` compressions,
+which keeps the carried diagonal's rounding drift a factor 4 inside the
+fallback cutoff (``compress`` gives the budget) and makes a row at batch
+factor 1 cost amortized O(ell d + m^3).
 
 Running out of zero rows is the one compression trigger, at every batch
 factor. With ``batch_factor == 1`` (``m == ell``) a shrink leaves at most
@@ -57,10 +59,14 @@ themselves while they number at most d - ell, and from the stream's Gram
 matrix A^T A and |A|_F^2 beyond, so a stream read from a file is held in
 memory only while it is no larger than A^T A.
 
-Sketches over the same row order are bit-identical between runs; two
-sketches with equal (k, eps, ell, d) can be merged by re-inserting the rows
-of the one with the smaller buffer into the other, at the cost of additional
-shrinkage.
+Sketches over the same row order are bit-identical between runs with the
+same numpy and BLAS build. On the shapes probed (up to 600 x 1000) only a
+deferred step's coefficient update, a general matrix product, changed its
+last bits with the BLAS thread count, at ell of about 120 or more. Above
+batch factor 1 a deferred step needs two one-row flushes in a row, so there
+a sketch built without them was the same at one and two threads. Two sketches
+with equal (k, eps, ell, d) can be merged by re-inserting the rows of the one
+with the smaller buffer into the other, at the cost of additional shrinkage.
 """
 from __future__ import annotations
 
@@ -177,6 +183,10 @@ class _Counters:
 # compressions sent straight to LAPACK: at most 2**(cap-1) - 1 = 31
 _GRAM_FAILS_CAP = 6
 
+# a deferral ends after min(ell, cap) compressions: the drift budget of
+# ``FdSketch.compress``
+_DEFERRAL_CAP = 2**10
+
 CompressHook = Callable[[np.ndarray, np.ndarray, float], None]
 
 
@@ -227,13 +237,13 @@ class FdSketch:
         self._pending = self._nonzero
         self._counters = counters
         self.compress_hook = compress_hook
-        # Gram diagonal of the rows the last compression wrote, and the
-        # compressions since the Gram matrix was last built in full; None
-        # makes the next compression rebuild it (see ``compress``)
+        # deferred rows: while ``_coef`` is set, the kept rows are
+        # ``_coef @ _basis[:q]`` and ``_rows[:_coef.shape[0]]`` is stale; a
+        # deferred step reads their Gram diagonal from ``_carried``, and
+        # ``_gram_age`` counts the compressions since G was last built in
+        # full (see ``compress``)
         self._carried: Optional[np.ndarray] = None
         self._gram_age = 0
-        # deferred rows: while ``_coef`` is set, the kept rows are
-        # ``_coef @ _basis[:q]`` and ``_rows[:_coef.shape[0]]`` is stale
         self._coef: Optional[np.ndarray] = None
         self._basis: Optional[np.ndarray] = None
         # consecutive failed Gram attempts, and compressions left to send
@@ -252,8 +262,6 @@ class FdSketch:
     def _buf(self, buf: np.ndarray) -> None:
         self._rows = buf
         self._coef = None
-        # the carried Gram diagonal described the rows just replaced
-        self._carried = None
 
     def _logical(self) -> np.ndarray:
         """A copy of the buffer with the deferred rows multiplied out."""
@@ -424,53 +432,47 @@ class FdSketch:
         rows since the last compression (``batch_factor > 1``), ``W B`` is
         one GEMM, O(r m d). No left factor of an SVD is ever formed.
 
-        Deferred rotation. With exactly one new row x (every compression at
-        ``batch_factor == 1`` once the buffer has filled, and every
-        re-inserted row of such a merge) the rotation is not applied: the
-        kept rows stay as ``coef @ basis``, Brand's incremental-SVD device.
-        x is appended to a basis of at most 2m stored rows (2m x d of extra
-        memory, allocated on first use), ``coef <- [W[:, :p] coef | W[:, p:]]``
-        costs O(m^3), and G needs only x's row, ``(x basis^T) coef^T``, at
-        O(m d). The rows are multiplied out, one O(m^2 d) GEMM, when the
-        basis is full, and before a rebuild or a fallback, which need them;
-        since a rebuild comes at least every ``min(ell, 2^10)`` compressions,
-        that is once per at most m of them, and a one-row compression costs
-        amortized O(m d + m^3) instead of O(m^2 d). Only ``compress``
-        multiplies the rows out, on a schedule set by the row sequence, so
-        block cuts still give bit-identical sketches; reading the buffer
-        (``_buf``, ``query``, ``copy``, ``save_sketch``, a hook's arguments)
-        computes a copy and never changes later bits. ``copy()`` is a deep
-        copy, which keeps each array's memory layout (``coef`` is F-ordered
-        while it is W's transpose), and layout picks the BLAS path, so a copy
-        continues bit for bit. Assigning ``_buf`` ends the deferral.
+        Gram rule. A compression is a deferred step when exactly one row x
+        arrived since the last one (``_pending == 1``), a deferral is running
+        and fewer than ``L = min(ell, 2^10)`` compressions have passed since G
+        was last built in full. Every other compression multiplies deferred
+        rows out and builds ``G = B B^T`` with one product, O(m^2 d): with one
+        new row (every compression at ``batch_factor == 1`` once the buffer
+        has filled, and every re-inserted row of such a merge) it starts a
+        deferral, with several it rotates the buffer directly.
 
-        Carried Gram matrix. The rows written are mutually orthogonal, with
-        Gram matrix ``diag(max(w[:r] - delta, 0))``; the sketch keeps that
-        diagonal for the rows still nonzero. The next compression then
-        computes only the rows of G that belong to the p rows stored since,
-        ``B[p:] B^T``, at O(p m d) instead of O(m^2 d): O(ell d) per row at
-        ``batch_factor == 1``. The update is made at compression time, so the
-        result depends only on the row sequence, not on how it was cut into
-        ``append``/``extend`` calls.
+        Deferred rotation. A deferral keeps the new rows as ``coef @ basis``,
+        Brand's incremental-SVD device: it starts with ``coef = W`` over the m
+        buffer rows, and each step appends x to the basis and sets
+        ``coef <- [W[:, :p] coef | W[:, p:]]``, O(m^3). The rows a compression
+        writes are mutually orthogonal, with Gram matrix
+        ``diag(max(w[:r] - delta, 0))``; the sketch carries that diagonal, so
+        a step's G is it bordered by x's row ``(x basis^T) coef^T``, O(m d).
+        A deferral takes at most L - 1 steps, so the basis (allocated on
+        first use) has ``buffer_rows + L - 1`` rows and a step past them
+        raises. Multiplying out is one O(m^2 d) GEMM, so with the full build a
+        deferral costs O(m^2 d) once per L compressions: a one-row
+        compression costs amortized O(ell d + m^3) at ``batch_factor == 1``.
+        Only ``compress`` multiplies the rows out, on a schedule set by the
+        row sequence, so block cuts still give bit-identical sketches; reading
+        the buffer (``_buf``, ``query``, ``copy``, ``save_sketch``, a hook's
+        arguments) computes a copy and never changes later bits. ``copy()`` is
+        a deep copy, which keeps each array's memory layout (``coef`` is
+        F-ordered while it is W's transpose), and layout picks the BLAS path,
+        so a copy continues bit for bit. A load, a fallback and assigning
+        ``_buf`` end the deferral.
 
-        Rebuild rule and drift budget. The carried diagonal is exact only in
-        exact arithmetic: each compression adds about ``m * 2^-52 * w[0]`` of
-        rounding to what it claims for the rows it wrote (the eigensolver's
-        backward error, and the rounding of the rows themselves), and a later
-        compression passes that on undamped, because ``|diag(keep) U^T| <= 1``.
-        G is therefore rebuilt as ``B B^T`` on the first compression after
-        construction, ``_from_state`` (a load) or a fallback, and at least
-        every ``min(ell, 2^10)`` compressions. After at most 2^10 steps the
-        drift is at most ``2^10 * m * 2^-52 * w[0] = m * 2^-42 * w[0]``, a
-        factor 4 inside the fallback cutoff below; and rebuilding every
-        ``ell`` compressions costs O(m^2 d / ell) = O(ell d) per compression
-        at ``batch_factor == 1``. ``copy()`` keeps the carried diagonal, so a
-        copy compresses bit for bit as the original would. The deferred rows
-        drift within the same budget: each W is a contraction, so by
-        induction ``|coef| <= 1``, each update adds rounding of the size the
-        direct rotation adds, and no later W amplifies what an earlier step
-        committed; and the rows are multiplied out at every rebuild, so the
-        drift sums over no more steps than the carried diagonal's.
+        Drift budget. The carried diagonal is exact only in exact arithmetic:
+        each step adds about ``m * 2^-52 * w[0]`` of rounding to what it
+        claims for the rows it wrote (the eigensolver's backward error, and
+        the rounding of the rows themselves), and a later step passes that on
+        undamped, because ``|diag(keep) U^T| <= 1``. Fewer than 2^10 steps
+        follow a full build, so the drift is at most ``2^10 * m * 2^-52 *
+        w[0] = m * 2^-42 * w[0]``, a factor 4 inside the fallback cutoff
+        below. The deferred rows drift within the same budget: each W is a
+        contraction, so by induction ``|coef| <= 1``, each update adds
+        rounding of the size the direct rotation adds, and no later W
+        amplifies what an earlier step committed.
 
         Soundness. The new buffer is ``W B`` with ``W = diag(keep) U^T`` and
         ``0 <= keep <= 1``, so ``B^T B - B'^T B' = B^T (I - W^T W) B`` is PSD by
@@ -497,17 +499,16 @@ class FdSketch:
         """
         before = self._logical() if self.compress_hook is not None else None
         m = self._nonzero
-        p = 0 if self._carried is None else self._carried.size
-        rebuild = self._rebuild_due(p)
-        one_row = self._carried is not None and p == m - 1
-        if rebuild or not one_row:
-            # a rebuild and a direct rotation read the rows themselves
+        one_row = self._pending == 1
+        if not (one_row and self._coef is not None
+                and self._gram_age < min(self.params.ell, _DEFERRAL_CAP)):
+            # every compression but a deferred step reads the rows themselves
             self._multiply_out()
         shrunk = None
         if self._gram_skip:
             self._gram_skip -= 1
         elif 0 < m < self.params.d:
-            shrunk = self._gram_shrink(m, p, rebuild)
+            shrunk = self._gram_shrink(m)
             if shrunk is None:
                 self._gram_fails = min(self._gram_fails + 1, _GRAM_FAILS_CAP)
                 self._gram_skip = 2 ** (self._gram_fails - 1) - 1
@@ -536,7 +537,6 @@ class FdSketch:
             np.multiply(scale[:, None], f.v.T, out=self._rows[: scale.size])
             # zero scales come last, so the nonzero rows stay first
             nz = int(np.count_nonzero(scale))
-            self._carried = None
         self._rows[nz:m] = 0.0
         self._nonzero = nz
         self._pending = 0
@@ -550,7 +550,8 @@ class FdSketch:
         arrived since the last compression (see ``compress``)."""
         if self._coef is None:
             if self._basis is None:
-                self._basis = np.empty((2 * self.params.buffer_rows, self.params.d))
+                rows = self.params.buffer_rows + min(self.params.ell, _DEFERRAL_CAP) - 1
+                self._basis = np.empty((rows, self.params.d))
             self._basis[:m] = self._rows[:m]
             self._coef = w_mat
         else:
@@ -558,40 +559,31 @@ class FdSketch:
             q = self._coef.shape[1]
             self._basis[q] = self._rows[p]
             self._coef = np.concatenate((w_mat[:, :p] @ self._coef, w_mat[:, p:]), axis=1)
-        if self._coef.shape[1] == self._basis.shape[0]:
-            self._multiply_out()
 
-    def _rebuild_due(self, p: int) -> bool:
-        """The rebuild rule of ``compress``, given p carried rows."""
-        return p == 0 or self._gram_age >= min(self.params.ell, 2**10)
-
-    def _buffer_gram(self, m: int, p: int, rebuild: bool) -> np.ndarray:
-        """Lower triangle of ``B B^T`` for the m buffer rows, from the carried
-        diagonal of the first p unless ``rebuild`` (see ``compress``)."""
-        if rebuild:
+    def _buffer_gram(self, m: int) -> np.ndarray:
+        """Lower triangle of ``B B^T`` for the m buffer rows: built in full,
+        or in a deferred step from the carried diagonal of the first m - 1
+        and the new row's border (see ``compress``)."""
+        if self._coef is None:
             self._gram_age = 1
             b = self._rows[:m]
             return b @ b.T
         self._gram_age += 1
+        p = m - 1
         gram = np.zeros((m, m))
         gram.flat[: p * (m + 1) : m + 1] = self._carried
-        if self._coef is None:
-            b = self._rows[:m]
-            gram[p:] = b[p:] @ b.T
-        else:
-            # the one new row x against the deferred rows: (x basis^T) coef^T
-            x = self._rows[p]
-            gram[p, :p] = (self._basis[: self._coef.shape[1]] @ x) @ self._coef.T
-            gram[p, p] = x @ x
+        # the one new row x against the deferred rows: (x basis^T) coef^T
+        x = self._rows[p]
+        gram[p, :p] = (self._basis[: self._coef.shape[1]] @ x) @ self._coef.T
+        gram[p, p] = x @ x
         return gram
 
-    def _gram_shrink(self, m: int, p: int,
-                     rebuild: bool) -> Optional[tuple[float, np.ndarray, np.ndarray]]:
+    def _gram_shrink(self, m: int) -> Optional[tuple[float, np.ndarray, np.ndarray]]:
         """``(delta, W, max(w - delta, 0))`` by the Gram route, with W's
         zero rows and their entries dropped, or None to fall back."""
         ell = self.params.ell
         # eigh reads the lower triangle only
-        w, u = np.linalg.eigh(self._buffer_gram(m, p, rebuild), UPLO="L")
+        w, u = np.linalg.eigh(self._buffer_gram(m), UPLO="L")
         w, u = w[::-1], u[:, ::-1]
         r = min(ell, m)
         if not w[r - 1] > m * 2.0**-40 * w[0]:

@@ -15,7 +15,9 @@ accumulated reference; batched sketches check the two-sided mass window
 instead.
 
 Running ``python -m fdsketch.verify`` executes a default grid and exits 1
-if any bound fails, or 2 with one stderr line on a bad argument.
+if any bound fails, or 2 with one stderr line on a bad argument. A warning
+raised by a run that completes, such as a grid whose sketch rows exceed d,
+is printed as one ``warning: ...`` stderr line, as ``fdsketch`` prints it.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -207,6 +210,8 @@ def default_grid(
 def main(argv: Optional[Sequence[str]] = None) -> int:
     import argparse
 
+    from .cli import _show_warning
+
     ap = argparse.ArgumentParser(
         prog="python -m fdsketch.verify",
         description="run the default verification grid and report JSON",
@@ -216,12 +221,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
     ap.add_argument("--json", action="store_true", help="compact single-line JSON")
     args = ap.parse_args(argv)
-    try:
-        summary = run_suite(default_grid(n=args.n, d=args.d, seeds=args.seeds))
-    except ValueError as exc:
-        # exit 1 means a violated bound; bad arguments exit 2, as in fdsketch
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return 2
+    # held back until the run succeeds, so a bad argument prints one line
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            summary = run_suite(default_grid(n=args.n, d=args.d, seeds=args.seeds))
+        except ValueError as exc:
+            # exit 1 means a violated bound; bad arguments exit 2, as in fdsketch
+            print(f"parameter error: {exc}", file=sys.stderr)
+            return 2
+    for w in caught:
+        _show_warning(w.message, w.category, w.filename, w.lineno)
     layout = {"separators": (",", ":")} if args.json else {"indent": 2}
     print(json.dumps(summary, allow_nan=False, **layout))
     return 0 if summary["all_pass"] else 1

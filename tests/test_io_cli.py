@@ -1087,6 +1087,26 @@ def test_cli_prints_a_library_warning_as_one_line(tmp_path, capsys):
     assert warnings.showwarning is shown
 
 
+@pytest.mark.parametrize("c", ["2", "4"])
+def test_batched_sketch_file_does_not_depend_on_the_blas_thread_count(tmp_path, c):
+    # above c = 1 every compression builds B B^T whole, a product whose bits
+    # do not depend on how many threads the BLAS splits it over
+    stream = tmp_path / "rows.bin"
+    write_rows(str(stream), np.random.default_rng(5).normal(size=(600, 1000)), "binary")
+    files = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"s{threads}.fdsk"
+        proc = subprocess.run(
+            [sys.executable, "-m", "fdsketch", "sketch", "--input", str(stream),
+             "--k", "10", "--eps", "0.5", "--c", c, "--out", str(out), "--json"],
+            capture_output=True, text=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        files.append(out.read_bytes())
+    assert files[0] == files[1]
+
+
 def test_module_entry_point_runs(tmp_path):
     stream = tmp_path / "rows.csv"
     write_rows(str(stream), np.eye(3), "csv")

@@ -893,25 +893,36 @@ def test_carried_gram_is_rebuilt_on_schedule(tmp_path):
     from fdsketch.io import load_sketch, save_sketch
 
     # _gram_age counts the compressions since the Gram matrix was last built
-    # in full: 1 at a rebuild, then one more per compression on the carried
-    # diagonal, rebuilt again after ell of them
+    # in full: 1 at a rebuild, then one more per deferred step on the carried
+    # diagonal. At c = 1 the first compression rotates directly, the next
+    # rebuilds and starts a deferral, and a rebuild comes after ell - 1 steps
     ages = []
     s = FdSketch(k=2, eps=0.5, d=30, compress_hook=lambda *_: ages.append(s._gram_age))
     rows = np.random.default_rng(28).normal(size=(40, 30))
     s.extend(rows)
     assert s.ell == 6
-    assert ages == [1, 2, 3, 4, 5, 6] * 5 + [1, 2, 3, 4, 5]
+    assert ages == [1] + [1, 2, 3, 4, 5, 6] * 5 + [1, 2, 3, 4]
     path = str(tmp_path / "s.fdsk")
     save_sketch(path, s)
     back = load_sketch(path)
     back.compress_hook = lambda *_: ages.append(back._gram_age)
     back.extend(rows[:3])
     # a reloaded sketch rebuilds first; a copy carries on where it was
-    assert ages[-3:] == [1, 2, 3]
+    assert ages[-3:] == [1, 1, 2]
     twin = s.copy()
     twin.compress_hook = lambda *_: ages.append(twin._gram_age)
-    twin.extend(rows[:2])
-    assert ages[-2:] == [6, 1]
+    twin.extend(rows[:3])
+    assert ages[-3:] == [5, 6, 1]
+    # above c = 1 a compression stores several rows, so every one rebuilds,
+    # also a flush of one row and the compression after it
+    ages.clear()
+    wide = FdSketch(k=2, eps=0.5, d=30, batch_factor=2.0,
+                    compress_hook=lambda *_: ages.append(wide._gram_age))
+    wide.extend(rows[:20])
+    wide.query()
+    assert wide._coef is not None
+    wide.extend(rows[20:])
+    assert ages == [1] * 5
 
 
 def test_compression_after_a_fallback_rebuilds(monkeypatch):
@@ -986,8 +997,9 @@ def test_reads_never_change_later_bits(tmp_path):
 
 
 # row 10 comes right after the first deferred compression, while coef is
-# still W's F-ordered transpose; by row 73 it is a C-ordered concatenation
-@pytest.mark.parametrize("at", [10, 73])
+# still W's F-ordered transpose; row 73 starts a deferral after a rebuild,
+# and row 74 is one step into it, where coef is a C-ordered concatenation
+@pytest.mark.parametrize("at", [10, 73, 74])
 def test_copy_made_mid_deferral_continues_bit_for_bit(at):
     rows = _noisy_low_rank(33, 200, 50)
     s = FdSketch(k=3, eps=0.5, d=50)
@@ -1036,24 +1048,22 @@ def test_batch_factor_one_merge_reinserts_through_the_deferred_path(monkeypatch)
     assert error_report(rows, merged).all_ok
 
 
-def test_deferred_rows_are_multiplied_out_when_the_basis_is_full(monkeypatch):
-    # the periodic rebuild multiplies the rows out every min(ell, 2^10)
-    # compressions, so only past ell = 2^10 does the 2m-row basis fill first;
-    # without the periodic rebuild a small sketch reaches that path
-    monkeypatch.setattr(FdSketch, "_rebuild_due", lambda self, p: p == 0)
+def test_deferral_fills_exactly_the_basis_it_allocates():
+    # a deferral starts at a rebuild with m basis rows and takes at most
+    # min(ell, 2^10) - 1 more steps, one basis row each; the basis has exactly
+    # that many rows, so a step past it would raise
     widths = []
     s = FdSketch(k=2, eps=0.5, d=30, compress_hook=lambda *_: widths.append(
         0 if s._coef is None else s._coef.shape[1]))
     rows = np.random.default_rng(36).normal(size=(40, 30))
     s.extend(rows)
-    m = s.buffer_rows
-    assert m == 6
-    assert s._basis.shape == (2 * m, 30)
-    # one direct compression, then a deferral from m basis rows up to 2m,
-    # where the rows are multiplied out, and again
-    cycle = list(range(m, 2 * m)) + [0]
-    assert widths == ([0] + cycle * 5)[: len(widths)]
-    assert len(widths) == 35
+    m, ell = s.buffer_rows, s.ell
+    assert s._basis.shape == (m + min(ell, 2**10) - 1, 30)
+    # one direct compression, then deferrals from m basis rows to the full basis
+    cycle = list(range(m, s._basis.shape[0] + 1))
+    assert widths == ([0] + cycle * 6)[: len(widths)]
+    assert widths.count(s._basis.shape[0]) >= 3
+    assert max(widths) == s._basis.shape[0]
     q = s.query()
     q_ref, delta_ref = fd_lapack_oracle(rows, s.ell, s.buffer_rows)
     tol = 1e-10 * frob_sq(rows)

@@ -163,3 +163,18 @@ def test_main_exits_two_with_one_line_on_a_bad_argument(capsys, argv):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.count("\n") == 1 and out.err.startswith("parameter error: ")
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    # k = 5, eps = 0.1 gives ell = 55 sketch rows, more than d = 40
+    (["--d", "40", "--n", "3", "--seeds", "0"], 0,
+     "warning: sketch rows ell=55 exceed dimension d=40; the sketch will hold "
+     "the stream exactly and shrinkage never happens\n"),
+    # every ell exceeds d = 1, and the adversarial stream needs d >= k + 1
+    (["--d", "1", "--n", "5"], 2,
+     "parameter error: need d >= k + 1 for the tail direction\n"),
+], ids=["warning", "bad-argument"])
+def test_module_prints_warnings_as_one_line_and_errors_alone(argv, code, err):
+    proc = subprocess.run([sys.executable, "-m", "fdsketch.verify", "--json", *argv],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (code, err)
