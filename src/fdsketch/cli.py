@@ -86,8 +86,6 @@ def _sketch_payload(command: str, out: str, sk: FdSketch, geometry: Sequence[str
 
 
 def _cmd_sketch(args) -> int:
-    import numpy as np
-
     from . import io as fio
     from .sketch import FdParams, FdSketch
 
@@ -98,7 +96,7 @@ def _cmd_sketch(args) -> int:
         # read a block before the width sizes the buffer, so a bogus width
         # over a short body fails as malformed input, not as an allocation
         first = list(itertools.islice(blocks, 1))
-        sk = FdSketch._from_state(params, np.zeros((params.buffer_rows, params.d)))
+        sk = FdSketch._from_state(params)
         for block in itertools.chain(first, blocks):
             sk.extend(block)
     fio.save_sketch(args.out, sk)

@@ -549,7 +549,7 @@ def load_sketch(path: str) -> FdSketch:
     if len(body) != expected:
         held = len(body) if len(body) < expected else f"more than {expected}"
         raise SketchFormatError(f"{path}: buffer holds {held} bytes, expected {expected}")
-    buf = np.frombuffer(body, dtype="<f8").astype(np.float64).reshape(m, d)
+    buf = np.frombuffer(body, dtype="<f8").astype(np.float64, copy=False).reshape(m, d)
     if not (np.isfinite([eps, delta, frob]).all() and np.isfinite(buf).all()):
         raise SketchFormatError(f"{path}: non-finite value in header or buffer")
     try:
@@ -572,4 +572,4 @@ def load_sketch(path: str) -> FdSketch:
         raise SketchFormatError(f"{path}: nonzero rows must come first, then a zero row")
     params = FdParams(k=int(k), eps=float(eps), d=int(d), batch_factor=m / ell,
                       ell=int(ell), buffer_rows=int(m))
-    return FdSketch._from_state(params, buf, _Counters(rows_seen, frob, delta))
+    return FdSketch._from_state(params, buf[:nz], _Counters(rows_seen, frob, delta))

@@ -38,8 +38,11 @@ factors trade memory for fewer factorizations without changing any guarantee.
 
 Rows enter through one step for ``append``, ``extend`` and the CLI: a block
 is validated (width, finite entries, row norms) in one vectorized pass and
-its nonzero rows are copied into free slots a slice at a time, so the
-result depends only on the row sequence, not on how it was cut into blocks.
+counted, and its nonzero rows go to ``FdSketch._store``, the only code that
+writes new rows into free slots and the only one that starts a compression
+when they run out. A loaded sketch's rows and a merge's re-inserted rows
+enter the same way, so the result depends only on the row sequence, not on
+how it was cut into blocks.
 
 Writing ``Delta`` for the running sum of shrink values, the sketch promises,
 deterministically, for every direction x with |x| = 1:
@@ -203,7 +206,10 @@ class FdSketch:
         triggers one factorization.
     compress_hook : optional callable ``(buffer_before, buffer_after, delta)``
         invoked after every compression; used by instrumented runs to check
-        the per-step shrink bound.
+        the per-step shrink bound. A compression inside an ``extend`` block
+        runs after the block's whole valid prefix is counted, so a hook that
+        reads ``rows_seen`` or ``input_frob_sq`` sees rows past the one that
+        filled the buffer.
 
     Every nonzero row is stored in the next free buffer slot, and the buffer
     is compressed as soon as it has no zero row left. Rows stored since the
@@ -212,29 +218,31 @@ class FdSketch:
 
     def __init__(self, k: int, eps: float, d: int, batch_factor: float = 1.0,
                  compress_hook: Optional[CompressHook] = None):
-        params = FdParams.create(k, eps, d, batch_factor)
-        self._set_state(params, np.zeros((params.buffer_rows, params.d)), _Counters(),
-                        compress_hook)
+        self._set_state(FdParams.create(k, eps, d, batch_factor), _Counters(), compress_hook)
 
     @classmethod
-    def _from_state(cls, params: FdParams, buf: np.ndarray,
+    def _from_state(cls, params: FdParams, rows: Optional[np.ndarray] = None,
                     counters: Optional[_Counters] = None) -> "FdSketch":
         """Rebuild a sketch from a validated state, without a hook; the
         counters default to a zero record, an empty stream's.
 
-        ``buf`` holds its nonzero rows first and at least one zero row; all
-        of them count as pending, so the first query compresses them.
+        ``rows``, nonzero and fewer than ``buffer_rows``, enter through
+        ``_store`` like any others and stay pending, so the first query
+        compresses them.
         """
         sk = cls.__new__(cls)
-        sk._set_state(params, buf, _Counters() if counters is None else counters)
+        sk._set_state(params, _Counters() if counters is None else counters)
+        if rows is not None:
+            sk._store(rows)
         return sk
 
-    def _set_state(self, params: FdParams, buf: np.ndarray, counters: _Counters,
+    def _set_state(self, params: FdParams, counters: _Counters,
                    compress_hook: Optional[CompressHook] = None) -> None:
+        """Install an empty buffer and the given counters and hook."""
         self.params = params
-        self._rows = buf
-        self._nonzero = int(np.count_nonzero(buf.any(axis=1)))
-        self._pending = self._nonzero
+        self._rows = np.zeros((params.buffer_rows, params.d))
+        self._nonzero = 0
+        self._pending = 0
         self._counters = counters
         self.compress_hook = compress_hook
         # deferred rows: while ``_coef`` is set, the kept rows are
@@ -338,11 +346,12 @@ class FdSketch:
     def extend(self, rows) -> None:
         """Consume stream rows in order.
 
-        A 2-D numeric array is ingested as one block: validated at once,
-        counted row by row, and copied into free buffer slots a slice at a
-        time. Any other iterable goes through ``append`` row by row. Both
-        end in the same step, so the sketch is bit-identical to appending
-        the rows one at a time, however they are cut into blocks. A bad row
+        A 2-D numeric array is ingested as one block: validated and counted
+        at once, then its nonzero rows are stored in free buffer slots a
+        slice at a time, with a compression each time the slots run out.
+        Any other iterable goes through ``append`` row by row. Both end in
+        the same step, so the sketch is bit-identical to appending the rows
+        one at a time, however they are cut into blocks. A bad row
         at index j raises ``append``'s ``ValueError`` after rows ``[:j]``
         have been consumed, exactly as appending them would have.
         """
@@ -353,13 +362,16 @@ class FdSketch:
                 self.append(row)
 
     def _ingest(self, block: np.ndarray) -> None:
-        """The one ingest step: validate, count and store a block of rows.
+        """The one ingest step: validate and count a block of rows, then
+        store its nonzero rows.
 
         The width is checked and the squared row norms computed for the
         whole block at once; a non-finite entry makes its row's norm
         non-finite, so the per-row overflow check of the compensated
-        ``|A|_F^2`` add, the only per-row work left, also finds it. A zero
-        row is counted and not stored: claiming a slot would only break the
+        ``|A|_F^2`` add, the only per-row work, also finds it. The valid
+        prefix is counted as seen and its nonzero rows go to one ``_store``
+        call, which compresses each time the buffer fills. A zero row is
+        counted and not stored: claiming a slot would only break the
         "leading rows are nonzero" layout the serializer relies on.
         """
         n, d = block.shape
@@ -370,8 +382,7 @@ class FdSketch:
         block = np.ascontiguousarray(block, dtype=np.float64)
         norms = squared_row_norms(block)
         frob = self._counters.input_frob_sq
-        start, stored, error = 0, 0, None
-        free = self.params.buffer_rows - self._nonzero
+        error = None
         for i, norm_sq in enumerate(norms.tolist()):
             if not math.isfinite(frob.value + norm_sq):
                 if np.isfinite(block[i]).all():
@@ -381,30 +392,17 @@ class FdSketch:
                 n = i
                 break
             frob.add(norm_sq)
-            if norm_sq != 0.0:
-                stored += 1
-                if stored == free:
-                    # the buffer fills at row i: store up to it and compress
-                    # with the counters exactly as appending would leave them
-                    self._take(block, norms, start, i + 1, stored)
-                    start, stored = i + 1, 0
-                    free = self.params.buffer_rows - self._nonzero
-        self._take(block, norms, start, n, stored)
+        self._counters.rows_seen += n
+        nonzero = norms[:n] != 0.0
+        self._store(block[:n] if nonzero.all() else block[:n][nonzero])
         if error is not None:
             raise ValueError(error)
 
-    def _take(self, block: np.ndarray, norms: np.ndarray, start: int, stop: int,
-              stored: int) -> None:
-        """Count rows ``start:stop`` of a validated block as seen and store
-        the ``stored`` nonzero ones among them."""
-        self._counters.rows_seen += stop - start
-        if stored:
-            rows = block[start:stop]
-            self._store(rows if stored == stop - start else rows[norms[start:stop] != 0.0])
-
     def _store(self, rows: np.ndarray) -> None:
-        """Copy nonzero rows into the free slots a slice at a time,
-        compressing each time no zero row is left."""
+        """The one way rows enter the buffer: copy nonzero rows into the
+        free slots a slice at a time and compress each time no zero row is
+        left, the one compression trigger. The rows are pending until that
+        compression; the caller counts them."""
         m = self.params.buffer_rows
         while rows.shape[0]:
             at = self._nonzero

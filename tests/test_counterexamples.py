@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from fdsketch.counterexamples import (
     SparseFdInstance,
+    _prefix_len,
     compare_on_adversary,
     gen_adversary,
     incremental_pca,
@@ -303,6 +304,18 @@ def test_grid_count_matches_enumeration(ell, step):
         scan = sparse_feasibility_grid(ell, c, step=step)
         got = (scan.points_checked, scan.feasible_count, scan.witness)
         assert got == _enumerated_grid(ell, c, step), (ell, c, step)
+
+
+@pytest.mark.parametrize("estimate", [7.0, 8.5, 10.0, 11.2, 13.0])
+def test_prefix_len_corrects_an_estimate_a_few_units_off(estimate):
+    # the prefix on which i < 10 holds has length 10
+    assert _prefix_len(20, lambda i: i < 10, estimate) == 10
+
+
+@pytest.mark.parametrize("estimate", [6.0, 14.0])
+def test_prefix_len_rejects_an_estimate_too_far_off(estimate):
+    with pytest.raises(AssertionError, match="did not settle"):
+        _prefix_len(20, lambda i: i < 10, estimate)
 
 
 def test_grid_count_matches_enumeration_off_the_default_grid():

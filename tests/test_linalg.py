@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from fdsketch.linalg import (
     GapRange,
+    SvdError,
     SvdFactors,
     as_matrix,
     best_rank_k,
@@ -80,6 +81,18 @@ def test_svd_thin_rejects_non_finite():
         svd_thin(np.array([[1.0, np.nan]]))
     with pytest.raises(ValueError, match="non-finite"):
         svd_thin(np.array([[np.inf, 0.0]]))
+
+
+def test_svd_thin_raises_svd_error_when_lapack_does_not_converge(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(SvdError, match="did not converge") as info:
+        svd_thin(np.array([[3.0, 0.0], [0.0, 4.0]]))
+    # the input's Frobenius norm
+    assert info.value.residual_norm == 5.0
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_as_matrix_promotes_vectors():

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import fdsketch.linalg
+from fdsketch.linalg import SvdError
 from fdsketch.verify import (
     DISTRIBUTIONS,
     TrialConfig,
@@ -86,6 +88,17 @@ def test_trial_passes_and_reports_wire_keys():
     json.dumps(j)
 
 
+def test_trial_is_inconclusive_when_an_oracle_factorization_fails(monkeypatch):
+    def no_basis(x):
+        raise SvdError("singular value iteration did not converge")
+
+    monkeypatch.setattr(fdsketch.linalg, "rowspace_basis", no_basis)
+    out = run_trial(TrialConfig(n=40, d=8, k=2, eps=0.5, seed=0))
+    assert out.inconclusive and not out.passed
+    assert out.report is None and out.bounds == {}
+    assert out.to_json_dict()["pass"] is False
+
+
 def test_trial_batched_window_branch():
     out = run_trial(TrialConfig(n=90, d=10, k=2, eps=0.5, c=2.0, seed=1))
     assert out.passed
@@ -154,6 +167,8 @@ def test_module_runs_once_without_import_warning():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["all_pass"] is True
+    # the default grid keeps every ell below d, so no trial warns
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("argv", [["--n", "0"], ["--d", "0"], ["--seeds", "-1"]])
