@@ -113,6 +113,17 @@ class ErrorReport(NamedTuple):
         return all(self.bounds().values())
 
 
+def _frob_sq_rows(arr: np.ndarray) -> float:
+    """``|arr|_F^2`` summed over fixed chunks of rows, each the size of a
+    ``RowReader`` block, so no temporary is larger than one chunk and a block
+    as the reader hands it out is summed in one piece."""
+    from .io import block_rows_for
+    from .linalg import frob_sq
+
+    step = block_rows_for(arr.shape[1])
+    return sum((frob_sq(arr[i:i + step]) for i in range(0, arr.shape[0], step)), 0.0)
+
+
 def _stream_gram(
     blocks: Iterable, d: int, hold: int
 ) -> tuple[list[np.ndarray] | None, np.ndarray | None, float, int]:
@@ -120,9 +131,11 @@ def _stream_gram(
     block raises ``ValueError``, as ``FdSketch.append`` rejects it), which
     must all have ``d`` columns, as ``(held, gram, |A|_F^2, n)``.
 
-    While at most ``hold`` rows have arrived the blocks are kept as they
-    come, unchanged and uncopied, and ``held`` is their list with ``gram``
-    None. When one more row arrives they are folded in order into
+    While at most ``hold`` rows have arrived they are copied in order into one
+    array that this function owns and grows in place, and ``held`` is a
+    one-item list of it with ``gram`` None. A block is copied once and never
+    changed, so an array argument is left as it was. When one more row
+    arrives the array is folded, a block at a time in stream order, into
     ``gram = A^T A`` and dropped, and every later block is folded as it
     comes; ``held`` is then None.
 
@@ -132,10 +145,11 @@ def _stream_gram(
     """
     import numpy as np
 
-    from .linalg import as_matrix, frob_sq
+    from .linalg import as_matrix
 
     # a sketch wider than d (hold < 0) holds no rows
-    held, gram = ([], None) if hold >= 0 else (None, np.zeros((d, d)))
+    rows, gram = (np.empty((0, d)), None) if hold >= 0 else (None, np.zeros((d, d)))
+    cuts = [0]
     fa = 0.0
     n = 0
     for block in blocks:
@@ -147,29 +161,38 @@ def _stream_gram(
         if arr.shape[1] != d:
             raise ValueError(f"matrix has {arr.shape[1]} columns, sketch expects {d}")
         with np.errstate(over="ignore"):
-            mass = frob_sq(arr)
+            mass = _frob_sq_rows(arr)
         if not math.isfinite(fa + mass):
             raise ValueError("row's squared norm overflows the running |A|_F^2")
         fa += mass
         n += arr.shape[0]
-        if held is not None:
+        if rows is not None:
             if n <= hold:
-                held.append(arr)
+                # no view of rows outlives a statement, so it may move
+                rows.resize((n, d), refcheck=False)
+                rows[cuts[-1]:] = arr
+                cuts.append(n)
                 continue
             gram = np.zeros((d, d))
-            for part in held:
-                gram += part.T @ part
-            held = None
+            for i, j in zip(cuts, cuts[1:]):
+                gram += rows[i:j].T @ rows[i:j]
+            rows = None
         gram += arr.T @ arr
-    return held, gram, fa, n
+    return (None if rows is None else [rows]), gram, fa, n
 
 
 def _row_spectra(
     held: list[np.ndarray], q: np.ndarray, basis: np.ndarray, k: int
 ) -> tuple[float, float, float, float, float]:
     """``|A|_F^2``, the top-k mass of A, ``|A W|_F^2`` and the extreme
-    eigenvalues of ``A^T A - Q^T Q``, for A the held blocks stacked and W
-    ``basis``, from one QR of ``[A; Q]^T``; empties ``held``.
+    eigenvalues of ``A^T A - Q^T Q``, for A the array in ``held`` (the rows
+    ``_stream_gram`` owns) and W ``basis``, from one QR of ``[A; Q]^T``.
+
+    The array is taken out of ``held``, Q is appended to it and
+    ``linalg.qr_rows_inplace`` overwrites it with the QR; R is copied out
+    and the array freed before the spectra are formed. |A|_F^2 is summed
+    over fixed chunks of rows. Beyond the rows this needs O(64 d) for the QR
+    and ``3 (n + ell)^2`` floats for the spectra.
 
     With ``M = [A; Q]`` (n + ell <= d rows here) and ``J = diag(I_n, -I_ell)``,
     ``A^T A - Q^T Q = M^T J M``. If ``M^T = U R``, with U's columns
@@ -180,14 +203,17 @@ def _row_spectra(
     """
     import numpy as np
 
-    from .linalg import frob_sq
+    from .linalg import frob_sq, qr_rows_inplace
 
-    m = np.concatenate(held + [q])
-    held.clear()
-    n, d = m.shape[0] - q.shape[0], m.shape[1]
-    fa = frob_sq(m[:n])
-    proj_mass_sq = frob_sq(m[:n] @ basis)
-    r = np.linalg.qr(m.T, mode="r")
+    m = held.pop()
+    n, d = m.shape
+    p = n + q.shape[0]
+    fa = _frob_sq_rows(m)
+    proj_mass_sq = frob_sq(m @ basis)
+    m.resize((p, d), refcheck=False)
+    m[n:] = q
+    qr_rows_inplace(m)
+    r = np.triu(m[:, :p].T)
     del m
     r11 = r[:n, :n]
     # R[:, :n] is R11 over zeros, so R J R^T is R11 R11^T in its leading
@@ -196,10 +222,12 @@ def _row_spectra(
     w = np.linalg.eigvalsh(top)
     rank_k_mass_sq = float(np.maximum(w[::-1][:k], 0.0).sum())
     gap = r[:, n:] @ r[:, n:].T
+    del r, r11
     np.negative(gap, out=gap)
     gap[:n, :n] += top
+    del top
     w = np.linalg.eigvalsh(gap)
-    if r.shape[1] < d:
+    if p < d:
         # the d - n - ell directions orthogonal to every row of M
         w = np.append(w, 0.0)
     return fa, rank_k_mass_sq, proj_mass_sq, float(w.max()), float(w.min())
@@ -224,16 +252,19 @@ def error_report(a, sketch: FdSketch) -> ErrorReport:
 
     Two routes compute them, chosen by the row count n alone:
 
-    - Row route, n <= d - ell. The blocks are held as they arrive (an array
-      argument is held, never copied or changed), so the held rows take no
-      more memory than G would. At the end ``M = [A; Q]`` is stacked once,
-      the blocks are dropped, and one QR ``M^T = U R`` gives both spectra
-      from (n + ell)-sized matrices: the top-k mass from ``R11 R11^T``,
-      which has the eigenvalues of ``A A^T = R11^T R11`` (R11 the leading
-      n x n block of R), and the gaps from ``R J R^T``,
-      ``J = diag(I_n, -I_ell)``, with the eigenvalue 0 joined when
-      n + ell < d. |A|_F^2 is summed over the stacked rows, so every cut of
-      the stream into blocks gives the same report. Memory is O((n + ell) d).
+    - Row route, n <= d - ell. The rows are copied as they arrive into one
+      array that ``error_report`` owns and grows in place (an array argument
+      is copied once and never changed). At the end Q is appended to it,
+      making ``M = [A; Q]``, and one blocked Householder QR ``M^T = U R``
+      overwrites it in place (``linalg.qr_rows_inplace``). R is copied out
+      and M freed, and both spectra come from (n + ell)-sized matrices: the
+      top-k mass from ``R11 R11^T``, which has the eigenvalues of
+      ``A A^T = R11^T R11`` (R11 the leading n x n block of R), and the gaps
+      from ``R J R^T``, ``J = diag(I_n, -I_ell)``, with the eigenvalue 0
+      joined when n + ell < d. |A|_F^2 is summed over fixed chunks of the
+      held rows, so every cut of the stream into blocks gives the same
+      report. Memory is one copy of the rows, plus O(64 d) for the QR and
+      ``3 (n + ell)^2`` floats for the spectra.
     - Gram route, from the first row past d - ell. The held blocks are folded
       into G in stream order, each later block as it arrives, and the
       spectra are two d x d eigensolves, of G and of ``G - Q^T Q``. Memory is
@@ -245,8 +276,11 @@ def error_report(a, sketch: FdSketch) -> ErrorReport:
     returns the eigenvalues of G + E with ``|E|_2 = O(d * 2^-52 * |G|_2)``,
     and ``|G|_2 <= |A|_F^2``, so the error grows like ``d * 2^-52 * |A|_F^2``
     (summing the rows into G and |A|_F^2 adds the rounding any route that
-    sums them has). On the row route Householder QR is backward stable: R is
-    the exact factor of M^T plus a perturbation of
+    sums them has). On the row route Householder QR is backward stable, and
+    so is its blocked form, whose panels are LAPACK's and whose compact-WY
+    updates apply the same reflectors as products of small matrices
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    ch. 19): R is the exact factor of M^T plus a perturbation of
     ``O(d * 2^-52 * |M|_F)``, so the spectra err by
     ``O(d * 2^-52 * (|A|_F^2 + |Q|_F^2))``, and ``|Q|_F^2 <= |A|_F^2``. Its
     perturbation is column by column, each row of M moved relative to its
@@ -280,8 +314,8 @@ def error_report(a, sketch: FdSketch) -> ErrorReport:
     from .linalg import frob_sq, rowspace_basis
 
     d = sketch.d
-    # the snapshot's arrays are made before the held blocks, so freeing the
-    # blocks before the row route's QR can return their memory
+    # the snapshot's arrays are made before the stream is read, so none sits
+    # above the held rows in the heap when they grow or are freed
     snap = sketch.copy()
     snap.flush()
     q = snap.query()

@@ -9,8 +9,9 @@ spectral gap helper the error bounds are stated in.
 The sketch's shrink step factorizes its buffer through the buffer's Gram
 matrix (see ``FdSketch.compress``) and calls ``svd_thin`` only as its exact
 fallback. ``error_report`` works from the stream's rows, with one QR of
-``[A; Q]^T``, while they number at most d - ell, and from the stream's Gram
-matrix beyond; it takes only ``rowspace_basis`` of the sketch from here.
+``[A; Q]^T`` by ``qr_rows_inplace``, while they number at most d - ell, and
+from the stream's Gram matrix beyond; it also takes ``rowspace_basis`` of the
+sketch from here.
 ``best_rank_k``, ``project_rowspace`` and ``directional_norm_gap`` are the
 same quantities for a matrix held in memory.
 """
@@ -23,6 +24,11 @@ import numpy as np
 # Relative cutoff under which a singular value is treated as zero when
 # building pseudoinverses / row-space bases.
 PINV_REL_CUTOFF = 1e-12
+
+# Rows per Householder panel of ``qr_rows_inplace`` and per chunk of its
+# trailing updates, and rows per LAPACK call inside a panel
+QR_PANEL_ROWS = 64
+QR_LEAF_ROWS = 16
 
 
 class SvdError(ValueError):
@@ -122,6 +128,68 @@ def rowspace_basis(x) -> np.ndarray:
     if f.s.size == 0 or f.s[0] == 0.0:
         return f.v[:, :0]
     return f.v[:, f.s > PINV_REL_CUTOFF * f.s[0]]
+
+
+def qr_rows_inplace(m: np.ndarray) -> np.ndarray:
+    """Overwrite the C-ordered p x d float64 array ``m`` (p <= d) with the
+    Householder QR of ``m.T`` and return the p reflector scales tau, as
+    LAPACK's geqrf leaves them in ``m.T``; R is ``np.triu(m[:, :p].T)``.
+
+    ``np.linalg.qr(m.T)`` would hold two more copies of ``m``. This is the
+    blocked Householder QR with compact-WY trailing updates (Schreiber and
+    Van Loan, SIAM J. Sci. Stat. Comput. 10(1), 1989), two levels deep: a
+    panel of ``QR_PANEL_ROWS`` rows is itself factored that way in panels of
+    ``QR_LEAF_ROWS``, each of which LAPACK factors, through
+    ``np.linalg.qr(leaf.T, mode="raw")``, and writes back; after each panel
+    ``_reflect_rows`` updates the rows below it. The workspace beyond ``m``
+    is O(QR_PANEL_ROWS * d) whatever p is.
+    """
+    if m.shape[0] > m.shape[1]:
+        raise ValueError(f"qr_rows_inplace needs p <= d, got shape {m.shape}")
+    return _qr_rows(m, QR_PANEL_ROWS)
+
+
+def _qr_rows(m: np.ndarray, panel: int) -> np.ndarray:
+    """``qr_rows_inplace`` in panels of ``panel`` rows."""
+    p = m.shape[0]
+    taus = [np.zeros(0)]
+    for j0 in range(0, p, panel):
+        j1 = min(j0 + panel, p)
+        if panel > QR_LEAF_ROWS:
+            tau = _qr_rows(m[j0:j1, j0:], QR_LEAF_ROWS)
+        else:
+            h, tau = np.linalg.qr(m[j0:j1, j0:].T, mode="raw")
+            m[j0:j1, j0:] = h
+        taus.append(tau)
+        if j1 < p:
+            _reflect_rows(m[j1:, j0:], m[j0:j1, j0:], tau)
+    return np.concatenate(taus)
+
+
+def _reflect_rows(c: np.ndarray, h: np.ndarray, tau: np.ndarray) -> None:
+    """``c <- c (I - V^T T V)``, which is ``H_b ... H_1`` applied to each row
+    of ``c``, for the b reflectors that geqrf leaves in the rows of ``h`` past
+    their diagonal, with scales ``tau``.
+
+    Row i of V is reflector i: 0 before column i, 1 at it, then
+    ``h[i, i + 1:]``. A
+    reflector with tau = 0 is the identity and its row is zeroed. T is upper
+    triangular with ``T^-1 = striu(V V^T) + diag(1/tau)``, and ``c`` is
+    updated ``QR_PANEL_ROWS`` rows at a time.
+    """
+    b = h.shape[0]
+    v = h.copy()
+    live = tau != 0.0
+    lead = v[:, :b]
+    lead[np.tril_indices(b, -1)] = 0.0
+    lead[np.diag_indices(b)] = 1.0
+    v[~live] = 0.0
+    tinv = np.triu(v @ v.T, 1)
+    tinv[np.diag_indices(b)] = 1.0 / np.where(live, tau, 1.0)
+    w = (c @ v.T) @ np.linalg.inv(tinv)
+    for i0 in range(0, c.shape[0], QR_PANEL_ROWS):
+        part = c[i0:i0 + QR_PANEL_ROWS]
+        part -= w[i0:i0 + QR_PANEL_ROWS] @ v
 
 
 def frob_sq(a) -> float:

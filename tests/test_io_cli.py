@@ -414,6 +414,55 @@ def test_cli_verify_of_a_short_wide_stream_needs_no_d_by_d_matrix(tmp_path, caps
     assert peak < 40 << 20
 
 
+# prints the exit code and the peak RSS in KiB of this process image
+# (VmHWM); ru_maxrss would also carry the peak of the test process, which
+# the child inherits across fork and exec
+_PEAK_RSS_SCRIPT = """
+import sys
+import numpy as np
+from fdsketch import bounds, cli, io, linalg, sketch
+if sys.argv[1] == "verify":
+    rc = cli.main(["verify", "--input", sys.argv[2], "--sketch", sys.argv[3], "--json"])
+else:
+    rows = np.fromfile(sys.argv[2], dtype="<f8", offset=12)
+    rc = 0
+with open("/proc/self/status") as fh:
+    peak = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+print(rc, peak)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+def test_cli_verify_row_route_holds_the_stream_once(tmp_path):
+    # a 512 x 8192 stream (32 MiB) takes the row route; verify may hold one
+    # copy of it beyond a process that only loads it, plus the QR's O(64 d)
+    # workspace and the (n + ell)^2 spectra. Peak RSS is compared, as
+    # tracemalloc does not see the buffers numpy's LAPACK wrappers allocate.
+    n, d = 512, 8192
+    stream = str(tmp_path / "rows.bin")
+    out = str(tmp_path / "s.fdsk")
+    rows = np.random.default_rng(48).normal(size=(n, d))
+    write_rows(stream, rows, "binary")
+    s = FdSketch(k=2, eps=0.5, d=d)
+    s.extend(rows)
+    save_sketch(out, s)
+    del rows
+
+    # one BLAS thread: a threaded BLAS's per-thread buffers would swamp both
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+    def peak_kib(mode):
+        proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_SCRIPT, mode, stream, out],
+                              capture_output=True, text=True, timeout=120, env=env)
+        rc, kib = proc.stdout.splitlines()[-1].split()
+        assert (rc, proc.stderr) == ("0", "")
+        return int(kib)
+
+    baseline = peak_kib("load")
+    verify = peak_kib("verify")
+    assert (verify - baseline) * 1024 <= 1.0 * n * d * 8
+
+
 def test_cli_payload_keys_and_order(tmp_path, capsys):
     rng = np.random.default_rng(10)
     rows = rng.normal(size=(20, 4))

@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from fdsketch.linalg import (
+    QR_PANEL_ROWS,
     GapRange,
     SvdError,
     SvdFactors,
@@ -15,6 +16,7 @@ from fdsketch.linalg import (
     directional_norm_gap,
     frob_sq,
     project_rowspace,
+    qr_rows_inplace,
     svd_thin,
 )
 from oracles import (
@@ -246,3 +248,72 @@ def test_removed_row_oracle_consistency():
     rest = np.delete(q, j, axis=0)
     direct = frob_sq(q - project_rows_oracle(q, rest))
     assert_allclose(vals[j], direct, atol=1e-10)
+
+
+# -- the in-place Householder QR of the row route -------------------------------
+
+
+def _qr_r(m):
+    """R of ``m.T`` from ``qr_rows_inplace`` on a copy, and its tau."""
+    work = np.array(m)
+    tau = qr_rows_inplace(work)
+    return np.triu(work[:, : m.shape[0]].T), tau
+
+
+def _assert_gram_backward_stable(m, r):
+    # R^T R = M M^T up to the Householder backward error O(d * 2^-52 * |M|_F^2)
+    bound = 8 * m.shape[1] * 2.0**-52 * frob_sq(m)
+    assert np.abs(r.T @ r - m @ m.T).max() <= bound
+
+
+def test_qr_rows_inplace_matches_lapack_r():
+    rng = np.random.default_rng(30)
+    m = rng.normal(size=(200, 300))
+    r, _ = _qr_r(m)
+    want = np.linalg.qr(m.T, mode="r")
+    # each column of R has the norm of its row of M; signs are LAPACK's choice
+    scale = np.linalg.norm(m, axis=1)
+    assert np.all(np.abs(np.abs(r) - np.abs(want)) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("p, d", [(1, 300), (63, 300), (64, 300), (65, 300), (200, 300), (150, 150)])
+def test_qr_rows_inplace_is_backward_stable(p, d):
+    m = np.random.default_rng(31 + p).normal(size=(p, d))
+    r, tau = _qr_r(m)
+    assert r.shape == (p, p) and tau.shape == (p,)
+    _assert_gram_backward_stable(m, r)
+
+
+def _hard_stacks():
+    rng = np.random.default_rng(32)
+    a = rng.normal(size=(150, 400))
+    with_zeros = a.copy()
+    with_zeros[[0, 5, QR_PANEL_ROWS - 1, QR_PANEL_ROWS, 100]] = 0.0
+    with_copies = np.concatenate([a[:70], a[:70], a[140:]])
+    # Q's rows in A's span, as a sketch's rows are up to its shrinkage
+    in_span = np.concatenate([a[:120], rng.normal(size=(30, 120)) @ a[:120]])
+    spread = a * np.logspace(-4.0, 4.0, a.shape[0])[:, None]
+    return {
+        "zero rows": with_zeros,
+        "duplicate rows": with_copies,
+        "Q rows in A's span": in_span,
+        "row norms over 8 decades": spread,
+        "|M|_F^2 near 1e300": a * np.sqrt(1e300 / frob_sq(a)),
+        "|M|_F^2 near 1e-300": a * np.sqrt(1e-300 / frob_sq(a)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_hard_stacks()))
+def test_qr_rows_inplace_is_backward_stable_on_hard_stacks(name):
+    m = _hard_stacks()[name]
+    r, tau = _qr_r(m)
+    assert np.isfinite(r).all()
+    _assert_gram_backward_stable(m, r)
+    if name == "zero rows":
+        # a zero row gives a tau = 0 reflector, inside panels and at their edges
+        assert (tau == 0.0).sum() >= 5
+
+
+def test_qr_rows_inplace_rejects_more_rows_than_columns():
+    with pytest.raises(ValueError, match="p <= d"):
+        qr_rows_inplace(np.ones((3, 2)))

@@ -660,6 +660,40 @@ def test_row_route_report_is_one_block_of_the_stream():
         assert error_report(blocks, s) == one
 
 
+def test_row_route_leaves_the_callers_rows_unchanged():
+    # the row route copies the rows once into an array of its own, then
+    # grows it and factorizes it in place
+    rng = np.random.default_rng(22)
+    rows = rng.normal(size=(90, 200))
+    s = FdSketch(k=4, eps=0.5, d=200)
+    s.extend(rows)
+    blocks = np.array_split(rows.copy(), 4)
+    want = rows.tobytes(), [b.tobytes() for b in blocks]
+    one = error_report(rows, s)
+    assert error_report(iter(blocks), s) == one
+    assert (rows.tobytes(), [b.tobytes() for b in blocks]) == want
+    assert one.all_ok
+
+
+def test_row_route_qr_takes_panels_of_at_most_64_columns(monkeypatch):
+    # np.linalg.qr never sees the (n + ell) x d stack, only panels of it
+    rng = np.random.default_rng(23)
+    rows = rng.normal(size=(150, 400))
+    s = FdSketch(k=4, eps=0.5, d=400)
+    s.extend(rows)
+    real = np.linalg.qr
+    widths = []
+
+    def spy(a, *args, **kwargs):
+        widths.append(np.shape(a)[-1])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    assert error_report(rows, s).all_ok
+    assert widths and max(widths) <= 64
+    assert sum(widths) == rows.shape[0] + s.ell
+
+
 def test_row_route_gaps_include_the_null_space():
     # with no stream rows, A^T A - Q^T Q = -Q^T Q: R J R^T = -R R^T is negative
     # definite for a full-rank Q, but the d - ell directions orthogonal to Q
