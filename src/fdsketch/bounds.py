@@ -115,12 +115,12 @@ class ErrorReport(NamedTuple):
 
 def _frob_sq_rows(arr: np.ndarray) -> float:
     """``|arr|_F^2`` summed over fixed chunks of rows, each the size of a
-    ``RowReader`` block, so no temporary is larger than one chunk and a block
-    as the reader hands it out is summed in one piece."""
-    from .io import block_rows_for
+    block ``verify`` reads, so no temporary is larger than one chunk and a
+    block as ``verify`` reads it is summed in one piece."""
+    from .io import verify_block_rows
     from .linalg import frob_sq
 
-    step = block_rows_for(arr.shape[1])
+    step = verify_block_rows(arr.shape[1])
     return sum((frob_sq(arr[i:i + step]) for i in range(0, arr.shape[0], step)), 0.0)
 
 
@@ -189,10 +189,14 @@ def _row_spectra(
     ``_stream_gram`` owns) and W ``basis``, from one QR of ``[A; Q]^T``.
 
     The array is taken out of ``held``, Q is appended to it and
-    ``linalg.qr_rows_inplace`` overwrites it with the QR; R is copied out
-    and the array freed before the spectra are formed. |A|_F^2 is summed
-    over fixed chunks of rows. Beyond the rows this needs O(64 d) for the QR
-    and ``3 (n + ell)^2`` floats for the spectra.
+    ``linalg.qr_rows_inplace`` overwrites it with the QR. The array is then
+    shrunk in place to the p x p block, p = n + ell, that holds R^T, and
+    ``R J R^T`` is formed from it a panel of rows at a time. R12 is kept and
+    R freed before the gaps' eigensolve; then ``R11 R11^T`` is rebuilt in
+    place as the leading block of ``R J R^T`` plus ``R12 R12^T``. |A|_F^2 is
+    summed over fixed chunks of rows. Beyond the rows this needs O(64 d) for
+    the QR and two p x p arrays for the spectra (``R J R^T`` and the
+    eigensolver's copy of it), plus R12 and O(64 p) per panel.
 
     With ``M = [A; Q]`` (n + ell <= d rows here) and ``J = diag(I_n, -I_ell)``,
     ``A^T A - Q^T Q = M^T J M``. If ``M^T = U R``, with U's columns
@@ -200,10 +204,17 @@ def _row_spectra(
     those of the small ``R J R^T``; the rest are 0 when n + ell < d. The
     nonzero eigenvalues of ``A^T A`` are those of ``A A^T = R11^T R11``, R11
     the leading n x n block of R, and so those of ``R11 R11^T``.
+
+    Subtracting ``R12 R12^T`` and adding it back rounds each entry of
+    ``R11 R11^T`` by a further O(2^-52) of its size and of ``|R12|_F^2``.
+    The columns of R have the norms of the rows of M, so
+    ``|R12|_F^2 <= |Q|_F^2 <= |A|_F^2``: the rank-k mass gains an error of
+    order ``2^-52 |Q|_F^2``, inside the ``d 2^-52 (|A|_F^2 + |Q|_F^2)`` that
+    ``error_report`` allows the route.
     """
     import numpy as np
 
-    from .linalg import frob_sq, qr_rows_inplace
+    from .linalg import QR_PANEL_ROWS, frob_sq, qr_rows_inplace
 
     m = held.pop()
     n, d = m.shape
@@ -213,24 +224,38 @@ def _row_spectra(
     m.resize((p, d), refcheck=False)
     m[n:] = q
     qr_rows_inplace(m)
-    r = np.triu(m[:, :p].T)
+    # m[:, :p] holds R^T on and below its diagonal and reflectors above it.
+    # Move it row by row to the front of m's memory, where no row lands past
+    # the start of a row not yet read (p <= d), zero the reflectors, and
+    # shrink m to that p x p block: m is then L = R^T, lower triangular.
+    flat = m.reshape(-1)
+    for i in range(p):
+        flat[i * p:i * p + i + 1] = flat[i * d:i * d + i + 1]
+        flat[i * p + i + 1:(i + 1) * p] = 0.0
+    del flat
+    m.resize((p, p), refcheck=False)
+    # R J R^T = R[:, :n] R[:, :n]^T - R[:, n:] R[:, n:]^T, formed a panel of
+    # rows at a time; R[i:, :n] is 0 past row n, so a panel's first term
+    # needs only the rows i:n of L[:, :n]
+    r12 = m[n:, :n].copy()
+    gap = np.empty((p, p))
+    for i in range(0, p, QR_PANEL_ROWS):
+        rows = gap[i:i + QR_PANEL_ROWS]
+        np.matmul(m[n:, i:i + QR_PANEL_ROWS].T, m[n:], out=rows)
+        np.negative(rows, out=rows)
+        rows[:, :n] += m[i:n, i:i + QR_PANEL_ROWS].T @ m[i:n, :n]
     del m
-    r11 = r[:n, :n]
-    # R[:, :n] is R11 over zeros, so R J R^T is R11 R11^T in its leading
-    # block minus R[:, n:] R[:, n:]^T
-    top = r11 @ r11.T
+    w = np.linalg.eigvalsh(gap)
+    max_gap, min_gap = float(w[-1]), float(w[0])
+    # the leading block is R11 R11^T - R12 R12^T; r12 holds R12^T
+    top = gap[:n, :n]
+    top += r12.T @ r12
     w = np.linalg.eigvalsh(top)
     rank_k_mass_sq = float(np.maximum(w[::-1][:k], 0.0).sum())
-    gap = r[:, n:] @ r[:, n:].T
-    del r, r11
-    np.negative(gap, out=gap)
-    gap[:n, :n] += top
-    del top
-    w = np.linalg.eigvalsh(gap)
     if p < d:
         # the d - n - ell directions orthogonal to every row of M
-        w = np.append(w, 0.0)
-    return fa, rank_k_mass_sq, proj_mass_sq, float(w.max()), float(w.min())
+        max_gap, min_gap = max(max_gap, 0.0), min(min_gap, 0.0)
+    return fa, rank_k_mass_sq, proj_mass_sq, max_gap, min_gap
 
 
 def error_report(a, sketch: FdSketch) -> ErrorReport:
@@ -256,19 +281,21 @@ def error_report(a, sketch: FdSketch) -> ErrorReport:
       array that ``error_report`` owns and grows in place (an array argument
       is copied once and never changed). At the end Q is appended to it,
       making ``M = [A; Q]``, and one blocked Householder QR ``M^T = U R``
-      overwrites it in place (``linalg.qr_rows_inplace``). R is copied out
-      and M freed, and both spectra come from (n + ell)-sized matrices: the
-      top-k mass from ``R11 R11^T``, which has the eigenvalues of
-      ``A A^T = R11^T R11`` (R11 the leading n x n block of R), and the gaps
-      from ``R J R^T``, ``J = diag(I_n, -I_ell)``, with the eigenvalue 0
-      joined when n + ell < d. |A|_F^2 is summed over fixed chunks of the
-      held rows, so every cut of the stream into blocks gives the same
-      report. Memory is one copy of the rows, plus O(64 d) for the QR and
-      ``3 (n + ell)^2`` floats for the spectra.
+      overwrites it in place (``linalg.qr_rows_inplace``). M is shrunk in
+      place to R, and both spectra come from (n + ell)-sized matrices: the
+      gaps from ``R J R^T``, ``J = diag(I_n, -I_ell)``, with the eigenvalue
+      0 joined when n + ell < d, and the top-k mass from ``R11 R11^T``,
+      which has the eigenvalues of ``A A^T = R11^T R11`` (R11 the leading
+      n x n block of R) and is rebuilt from ``R J R^T`` once R is freed
+      (``_row_spectra``). |A|_F^2 is summed over fixed chunks of the held
+      rows, so every cut of the stream into blocks gives the same report.
+      Memory is one copy of the rows, plus O(64 d) for the QR and two
+      (n + ell)^2 arrays for the spectra.
     - Gram route, from the first row past d - ell. The held blocks are folded
       into G in stream order, each later block as it arrives, and the
       spectra are two d x d eigensolves, of G and of ``G - Q^T Q``. Memory is
-      O(d^2) plus one block.
+      O(d^2) plus one block and its squares; ``verify`` reads blocks of
+      ``io.verify_block_rows(d)`` rows, at most 128 and at most 1 MiB.
 
     Both residuals are clamped at 0. Each is |A|_F^2 minus a sum of
     eigenvalues or squared projections, so its absolute error is that of the
@@ -284,8 +311,9 @@ def error_report(a, sketch: FdSketch) -> ErrorReport:
     ``O(d * 2^-52 * |M|_F)``, so the spectra err by
     ``O(d * 2^-52 * (|A|_F^2 + |Q|_F^2))``, and ``|Q|_F^2 <= |A|_F^2``. Its
     perturbation is column by column, each row of M moved relative to its
-    own norm, so R11, and with it the rank-k mass, errs relative to
-    |A|_F^2 alone; |A W|_F^2 is a product and sum of A's rows. The same
+    own norm, so R11 errs relative to |A|_F^2 alone, and the rank-k mass,
+    rebuilt through ``R J R^T``, adds ``O(2^-52 |Q|_F^2)``;
+    |A W|_F^2 is a product and sum of A's rows. The same
     ``d * 2^-52 * |A|_F^2`` order therefore bounds both residuals on both
     routes, and a residual below ``tiny = max(1e-12, d * 2^-52) * |A|_F^2``
     is indistinguishable from 0: when both are below it ``proj_err_ratio``

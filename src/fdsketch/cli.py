@@ -123,7 +123,7 @@ def _cmd_verify(args) -> int:
     with fio.RowReader(args.input, args.format) as rows:
         # before error_report holds rows or allocates its d x d accumulator
         rows.check_width(sk.d)
-        report = error_report(rows.blocks(), sk)
+        report = error_report(rows.blocks(fio.verify_block_rows(sk.d)), sk)
     if rows.rows_read != sk.rows_seen:
         print(
             f"warning: stream has {rows.rows_read} rows but the sketch "

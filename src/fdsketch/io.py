@@ -93,6 +93,12 @@ def sniff_format(path: str) -> str:
 # and a binary stream is read in pieces of at most this many.
 BLOCK_BYTES = 1 << 20
 
+# ``verify`` reads blocks of at most this many rows (and at most
+# ``BLOCK_BYTES``): each is one BLAS-3 update of the d x d Gram matrix, as
+# large as a 1 MiB block at d = 1000, while at small d the block and its
+# squares stay near the size of the sketch's own buffers.
+VERIFY_BLOCK_ROWS = 128
+
 
 # A CSV stream is read in chunks of whole lines of about this many characters.
 _CSV_CHUNK_CHARS = 256 << 10
@@ -105,6 +111,12 @@ def block_rows_for(d: int) -> int:
     """Rows in one block of a d-column stream: as many as fit in
     ``BLOCK_BYTES``, and at least one."""
     return max(1, BLOCK_BYTES // (8 * d))
+
+
+def verify_block_rows(d: int) -> int:
+    """Rows in one block of a d-column stream as ``verify`` reads it:
+    ``block_rows_for(d)``, capped at ``VERIFY_BLOCK_ROWS``."""
+    return min(VERIFY_BLOCK_ROWS, block_rows_for(d))
 
 
 def _read_upto(fh, nbytes: int) -> bytearray:

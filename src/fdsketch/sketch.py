@@ -63,11 +63,13 @@ matrix A^T A and |A|_F^2 beyond, so a stream read from a file is held in
 memory only while it is no larger than A^T A.
 
 Sketches over the same row order are bit-identical between runs with the
-same numpy and BLAS build. On the shapes probed (up to 600 x 1000) only a
-deferred step's coefficient update, a general matrix product, changed its
-last bits with the BLAS thread count, at ell of about 120 or more. Above
-batch factor 1 a deferred step needs two one-row flushes in a row, so there
-a sketch built without them was the same at one and two threads. Two sketches
+same numpy and BLAS build and the same BLAS thread count; nothing is
+promised across thread counts. The m x m eigensolve (LAPACK's blocked
+reduction) and a deferred step's coefficient update call threaded BLAS, so
+another thread count can change the last bits: ``fdsketch sketch`` of a
+600 x 1000 ``default_rng(5)`` Gaussian stream at k 40, eps 0.5 (ell 120)
+wrote different files under one and two OpenBLAS threads, from byte 71 at
+batch factor 1 and from byte 55 at batch factor 2. Two sketches
 with equal (k, eps, ell, d) can be merged by re-inserting the rows of the one
 with the smaller buffer into the other, at the cost of additional shrinkage.
 """

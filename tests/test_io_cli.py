@@ -414,22 +414,37 @@ def test_cli_verify_of_a_short_wide_stream_needs_no_d_by_d_matrix(tmp_path, caps
     assert peak < 40 << 20
 
 
-# prints the exit code and the peak RSS in KiB of this process image
-# (VmHWM); ru_maxrss would also carry the peak of the test process, which
-# the child inherits across fork and exec
+# runs the CLI command in argv[1:] with --json (argv[1] == "load" instead
+# reads the binary stream argv[2] with np.fromfile) and prints the exit code
+# and the peak RSS in KiB of this process image (VmHWM); ru_maxrss would also
+# carry the peak of the test process, which the child inherits across fork
+# and exec
 _PEAK_RSS_SCRIPT = """
 import sys
 import numpy as np
 from fdsketch import bounds, cli, io, linalg, sketch
-if sys.argv[1] == "verify":
-    rc = cli.main(["verify", "--input", sys.argv[2], "--sketch", sys.argv[3], "--json"])
-else:
+if sys.argv[1] == "load":
     rows = np.fromfile(sys.argv[2], dtype="<f8", offset=12)
     rc = 0
+else:
+    rc = cli.main(sys.argv[1:] + ["--json"])
 with open("/proc/self/status") as fh:
     peak = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
 print(rc, peak)
 """
+
+
+def _peak_kib(*argv):
+    """Peak RSS in KiB of a child that runs ``argv`` through
+    ``_PEAK_RSS_SCRIPT`` and must exit 0 with empty stderr. It runs one BLAS
+    thread: a threaded BLAS's per-thread buffers would swamp what the tests
+    compare."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_SCRIPT, *argv],
+                          capture_output=True, text=True, timeout=120, env=env)
+    rc, kib = proc.stdout.splitlines()[-1].split()
+    assert (rc, proc.stderr) == ("0", "")
+    return int(kib)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
@@ -448,19 +463,23 @@ def test_cli_verify_row_route_holds_the_stream_once(tmp_path):
     save_sketch(out, s)
     del rows
 
-    # one BLAS thread: a threaded BLAS's per-thread buffers would swamp both
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-
-    def peak_kib(mode):
-        proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_SCRIPT, mode, stream, out],
-                              capture_output=True, text=True, timeout=120, env=env)
-        rc, kib = proc.stdout.splitlines()[-1].split()
-        assert (rc, proc.stderr) == ("0", "")
-        return int(kib)
-
-    baseline = peak_kib("load")
-    verify = peak_kib("verify")
+    baseline = _peak_kib("load", stream)
+    verify = _peak_kib("verify", "--input", stream, "--sketch", out)
     assert (verify - baseline) * 1024 <= 1.0 * n * d * 8
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+def test_cli_verify_gram_route_peaks_near_sketch(tmp_path):
+    # a 20000 x 100 CSV stream takes the Gram route, whose state (the 80 KB
+    # Gram matrix and a block of at most 128 rows) is about the size of the
+    # sketch's own buffer, so verify may peak at most 1 MiB above sketch
+    stream = str(tmp_path / "rows.csv")
+    out = str(tmp_path / "s.fdsk")
+    write_rows(stream, np.random.default_rng(49).normal(size=(20000, 100)), "csv")
+    sketch = _peak_kib("sketch", "--input", stream, "--k", "5", "--eps", "0.5",
+                       "--c", "2", "--out", out)
+    verify = _peak_kib("verify", "--input", stream, "--sketch", out)
+    assert verify - sketch <= 1024
 
 
 def test_cli_payload_keys_and_order(tmp_path, capsys):
@@ -584,11 +603,11 @@ def test_cli_verify_writes_strict_json_for_an_infinite_ratio(tmp_path, capsys):
         assert payload["bounds"]["lemma6"] is False
 
 
-@pytest.mark.parametrize("offset", [-1, 0, 1])
-@pytest.mark.parametrize("fmt", ["csv", "binary"])
-def test_cli_verify_at_block_boundaries(tmp_path, capsys, fmt, offset):
-    d = 1000
-    n = fio.block_rows_for(d) + offset
+def _check_verify_at_block_boundaries(tmp_path, capsys, d, fmt, offset):
+    # verify reads blocks of VERIFY_BLOCK_ROWS rows at d = 100 and d = 1000
+    size = fio.verify_block_rows(d)
+    assert size == fio.VERIFY_BLOCK_ROWS
+    n = 2 * size + offset
     rows = np.random.default_rng(21).normal(size=(n, d)) * np.logspace(0, -3, d)
     stream = str(tmp_path / f"rows.{fmt}")
     write_rows(stream, rows, fmt)
@@ -596,17 +615,37 @@ def test_cli_verify_at_block_boundaries(tmp_path, capsys, fmt, offset):
     sk.extend(rows)
     path = str(tmp_path / "s.fdsk")
     save_sketch(path, sk)
+    # the Gram route sums G and |A|_F^2 a block at a time, so the library
+    # reference reads the blocks verify reads
+    blocked = error_report((rows[i:i + size] for i in range(0, n, size)), sk)
     one = error_report(rows, sk)
     with fio.RowReader(stream) as reader:
-        streamed = error_report(reader.blocks(), sk)
+        streamed = error_report(reader.blocks(size), sk)
         assert reader.rows_read == n
+    assert streamed == blocked
     tol = 1e-12 * one.frob_a_sq
     for field in ("frob_a_sq", "max_dir_gap", "min_dir_gap", "rank_k_residual_sq",
                   "rank_k_mass_sq", "proj_residual_sq"):
         assert abs(getattr(streamed, field) - getattr(one, field)) <= tol, field
     rc, text, err = _run(capsys, "verify", "--input", stream, "--sketch", path, "--json")
     assert rc == 0 and err == ""
-    assert json.loads(text)["report"]["frob_a_sq"] == streamed.frob_a_sq
+    report = json.loads(text)["report"]
+    for field in ("frob_a_sq", "max_dir_gap", "min_dir_gap", "rank_k_mass_sq"):
+        assert report[field] == getattr(blocked, field), field
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("fmt", ["csv", "binary"])
+def test_cli_verify_at_block_boundaries(tmp_path, capsys, fmt, offset):
+    # n + ell <= d: the row route
+    _check_verify_at_block_boundaries(tmp_path, capsys, 1000, fmt, offset)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("fmt", ["csv", "binary"])
+def test_cli_verify_at_block_boundaries_on_the_gram_route(tmp_path, capsys, fmt, offset):
+    # n > d - ell: G and |A|_F^2 are summed a block at a time
+    _check_verify_at_block_boundaries(tmp_path, capsys, 100, fmt, offset)
 
 
 def test_cli_verify_reports_are_identical_for_csv_and_binary(tmp_path, capsys):
