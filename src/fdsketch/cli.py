@@ -89,7 +89,7 @@ def _cmd_sketch(args) -> int:
     from . import io as fio
     from .sketch import FdParams, FdSketch
 
-    with fio.RowReader(args.input, args.format) as stream:
+    with fio.RowReader(args.input) as stream:
         # an empty CSV carries no width; d=1 by convention
         params = FdParams.create(args.k, args.eps, stream.d or 1, args.c)
         blocks = stream.blocks(params.buffer_rows)
@@ -120,7 +120,7 @@ def _cmd_verify(args) -> int:
     from . import io as fio
 
     sk = fio.load_sketch(args.sketch)
-    with fio.RowReader(args.input, args.format) as rows:
+    with fio.RowReader(args.input) as rows:
         # before error_report holds rows or allocates its d x d accumulator
         rows.check_width(sk.d)
         report = error_report(rows.blocks(fio.verify_block_rows(sk.d)), sk)
@@ -214,7 +214,7 @@ def _cmd_adversary(args) -> int:
     from .counterexamples import compare_on_adversary, gen_adversary
 
     rows = gen_adversary(args.k, args.d, args.n)
-    fio.write_rows(args.out, rows, args.format or "csv")
+    fio.write_rows(args.out, rows, args.format)
     comparison = compare_on_adversary(args.k, args.d, args.n, eps=args.eps)
     comparison["command"] = "adversary"
     comparison["out"] = args.out
@@ -259,13 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sketch", help="sketch a row stream into a sketch file")
-    p.add_argument("--input", required=True, help="row stream (CSV or binary)")
+    p = sub.add_parser("sketch", help="sketch a row stream into a sketch file", description=(
+        "Files are bit-identical only for the same numpy/BLAS build and BLAS thread count."))
+    p.add_argument("--input", required=True, help="row stream, CSV or binary; may be a pipe")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--c", type=float, default=1.0, help="buffer batch factor")
     p.add_argument("--out", required=True, help="sketch file to write")
-    p.add_argument("--format", choices=("csv", "binary"), default=None)
     p.add_argument("--json", action="store_true", help="compact JSON output")
     p.set_defaults(fn=_cmd_sketch)
 
@@ -279,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="audit a sketch against its stream")
     p.add_argument("--input", required=True)
     p.add_argument("--sketch", required=True)
-    p.add_argument("--format", choices=("csv", "binary"), default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_verify)
 
@@ -297,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", type=float, default=1.0)
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "binary"), default=None)
+    p.add_argument("--format", choices=("csv", "binary"), default="csv")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_adversary)
 

@@ -4,9 +4,13 @@ Row streams
     CSV: one row per line, exactly d comma-separated finite decimals,
     written with shortest-round-trip repr so CSV and binary carry identical
     bits. Binary: magic ``FDRW``, then d as u64 little-endian, then float64
-    little-endian values row-major. ``RowReader`` reads either format once,
-    row by row or in blocks (of at most ``BLOCK_BYTES`` unless a row count is
-    asked for), and knows d before the first row.
+    little-endian values row-major. ``RowReader`` opens its path once and
+    reads it once, row by row or in blocks (of at most ``BLOCK_BYTES`` unless
+    a row count is asked for), and knows d before the first row. The format
+    is the stream's own: ``peek`` shows the first byte without consuming it,
+    ``F`` (the magic's, and no CSV row's) means binary, and any other byte or
+    an empty stream means CSV, decoded by a text layer over the same handle.
+    So a pipe, such as ``/dev/stdin``, loses no byte to the test.
 
     A CSV stream is read ``_CSV_CHUNK_CHARS`` characters of whole lines at a
     time, and ``np.loadtxt`` parses each chunk. Both it and ``float()`` round
@@ -56,6 +60,7 @@ import stat
 import struct
 import sys
 import warnings
+from io import TextIOWrapper
 from typing import Iterator, Optional
 
 import numpy as np
@@ -81,12 +86,6 @@ class RowStreamError(ValueError):
 
 class SketchFormatError(ValueError):
     """Corrupt or unsupported sketch file."""
-
-
-def sniff_format(path: str) -> str:
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    return "binary" if head == ROWS_MAGIC else "csv"
 
 
 # A block of rows holds at most this many bytes (one row, if a row is wider),
@@ -236,8 +235,9 @@ def _csv_worker(path: str, lines_before: int, d: int, out) -> None:
 
 
 class RowReader:
-    """An open row stream (CSV or binary; ``fmt=None`` sniffs the magic) that
-    knows its width before its first row.
+    """An open row stream, CSV or binary, that knows its width before its
+    first row. The path is opened once; ``fmt`` is ``"binary"`` when the
+    first byte, read with ``peek``, is ``F``, and ``"csv"`` otherwise.
 
     ``d`` comes from the header of a binary stream and from the first
     nonblank line of a CSV; an empty CSV has ``d = None``. Iterating yields
@@ -260,23 +260,22 @@ class RowReader:
     end, or use it in a ``with`` block.
     """
 
-    def __init__(self, path: str, fmt: Optional[str] = None):
-        fmt = fmt or sniff_format(path)
-        if fmt not in ("csv", "binary"):
-            raise ValueError(f"unknown format {fmt!r}")
+    def __init__(self, path: str):
         self.path = path
-        self.fmt = fmt
         self.d: Optional[int] = None
         self.rows_read = 0
         self._rows: Optional[Iterator[np.ndarray]] = None
         self._width_line = 0
         self._worker: Optional[tuple] = None
-        if fmt == "csv":
-            self._fh = open(path, "r", encoding="ascii", errors="surrogateescape")
-        else:
-            self._fh = open(path, "rb")
+        self._fh = open(path, "rb")
         try:
-            (self._open_csv if fmt == "csv" else self._open_binary)()
+            # peek consumes nothing: a pipe loses no byte
+            self.fmt = "binary" if self._fh.peek(1)[:1] == ROWS_MAGIC[:1] else "csv"
+            if self.fmt == "csv":
+                self._fh = TextIOWrapper(self._fh, encoding="ascii", errors="surrogateescape")
+                self._open_csv()
+            else:
+                self._open_binary()
         except BaseException:
             self._fh.close()
             raise
@@ -471,14 +470,14 @@ class RowReader:
                 return
 
 
-def iter_rows(path: str, fmt: Optional[str] = None) -> RowReader:
-    """Rows of a stream one at a time; ``fmt=None`` sniffs the magic."""
-    return RowReader(path, fmt)
+def iter_rows(path: str) -> RowReader:
+    """Rows of a stream one at a time."""
+    return RowReader(path)
 
 
-def read_rows(path: str, fmt: Optional[str] = None) -> np.ndarray:
+def read_rows(path: str) -> np.ndarray:
     """Materialize a whole stream; an empty CSV comes back with shape (0, 0)."""
-    with RowReader(path, fmt) as rows:
+    with RowReader(path) as rows:
         blocks = list(rows.blocks())
         if not blocks:
             return np.zeros((0, rows.d or 0))

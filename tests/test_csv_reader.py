@@ -127,7 +127,7 @@ def test_chunked_reader_matches_line_parser(tmp_path_factory, data, chunk, size,
     # one CPU: the reader parses every chunk; two: a worker parses every other
     with mock.patch.object(fio, "_CSV_CHUNK_CHARS", chunk), \
             mock.patch.object(fio, "_usable_cpus", lambda: cpus):
-        with RowReader(path, "csv") as reader:
+        with RowReader(path) as reader:
             got = _outputs(reader, size, rows_first)
     assert got == expected
 
@@ -200,9 +200,9 @@ def reader_on(monkeypatch):
     return parsed
 
 
-def _read_both(path: str, fmt=None, size: int = 97, rows_first: int = 2) -> list:
+def _read_both(path: str, size: int = 97, rows_first: int = 2) -> list:
     expected = _outputs(LineCsvReader(path), size, rows_first)
-    with RowReader(path, fmt) as reader:
+    with RowReader(path) as reader:
         got = _outputs(reader, size, rows_first)
     assert got == expected
     return got
@@ -262,7 +262,9 @@ def test_worker_off(tmp_path, reader_on, monkeypatch, case):
                                    "open(sys.argv[1], 'rb'), open(sys.argv[2], 'wb'))",
                                    path, fifo])
         try:
-            with RowReader(fifo, "csv") as reader:
+            # typed from its first byte, which the parse then reads too
+            with RowReader(fifo) as reader:
+                assert reader.fmt == "csv"
                 got = _outputs(reader, 97, 2)
         finally:
             assert writer.wait(timeout=60) == 0

@@ -9,8 +9,10 @@ from numpy.testing import assert_array_equal
 
 import fdsketch.linalg
 from fdsketch.linalg import SvdError
+from fdsketch.sketch import FdSketch
 from fdsketch.verify import (
     DISTRIBUTIONS,
+    GRID_BATCH_FACTORS,
     TrialConfig,
     default_grid,
     generate_rows,
@@ -102,8 +104,29 @@ def test_trial_is_inconclusive_when_an_oracle_factorization_fails(monkeypatch):
 def test_trial_batched_window_branch():
     out = run_trial(TrialConfig(n=90, d=10, k=2, eps=0.5, c=2.0, seed=1))
     assert out.passed
-    # per-row identity checkpoints do not run for batched sketches
+    # every mid-stream checkpoint finds the lost mass inside [ell, m] * Delta
     assert out.worst_identity_residual == 0.0
+    assert out.delta_monotone
+
+
+def test_trial_flags_an_unbooked_shrink_mid_stream(monkeypatch):
+    # the first shrinking compression's delta leaves delta_sum again: the
+    # rows lost mass that the window [ell, m] * Delta no longer covers
+    compress = FdSketch.compress
+    unbooked = []
+
+    def drop_first_shrink(sk):
+        delta = compress(sk)
+        if delta > 0.0 and not unbooked:
+            sk._counters.delta_sum.add(-delta)
+            unbooked.append(delta)
+        return delta
+
+    monkeypatch.setattr(FdSketch, "compress", drop_first_shrink)
+    out = run_trial(TrialConfig(n=200, d=30, k=3, eps=0.5, c=2.0, seed=2))
+    assert unbooked
+    assert out.worst_identity_residual > 0.0
+    assert not out.bounds["lemma4_identity"] and not out.passed
 
 
 @pytest.mark.parametrize("dist", DISTRIBUTIONS)
@@ -142,10 +165,12 @@ def test_suite_schema_round_trips_through_json():
 
 def test_default_grid_covers_the_matrix_of_cases():
     grid = default_grid(seeds=(0, 1))
-    assert len(grid) == 3 * 3 * 4 * 2
+    assert len(grid) == 3 * 3 * 4 * 2 * 2
     dists = {cfg.distribution for cfg in grid}
     assert dists == set(DISTRIBUTIONS)
     assert {cfg.k for cfg in grid} == {1, 3, 5}
+    # the per-row variant and the O(d ell) variant's wider buffer
+    assert {cfg.c for cfg in grid} == set(GRID_BATCH_FACTORS) == {1.0, 2.0}
 
 
 @pytest.mark.filterwarnings("ignore:sketch rows")
@@ -155,7 +180,7 @@ def test_main_small_grid_exits_zero(capsys):
     assert rc == 0
     parsed = json.loads(captured.out)
     assert parsed["all_pass"] is True
-    assert len(parsed["trials"]) == 36
+    assert len(parsed["trials"]) == 72
 
 
 def test_module_runs_once_without_import_warning():
