@@ -113,15 +113,21 @@ class ErrorReport(NamedTuple):
         return all(self.bounds().values())
 
 
+def _chunks(arr: np.ndarray) -> Iterator[np.ndarray]:
+    """``arr`` in fixed chunks of ``io.block_rows_for(d)`` rows, the blocks
+    ``io.RowReader`` reads, so no temporary is larger than one block and a
+    block as the CLI reads it is one chunk."""
+    from .io import block_rows_for
+
+    step = block_rows_for(arr.shape[1])
+    return (arr[i:i + step] for i in range(0, arr.shape[0], step))
+
+
 def _frob_sq_rows(arr: np.ndarray) -> float:
-    """``|arr|_F^2`` summed over fixed chunks of rows, each the size of a
-    block ``verify`` reads, so no temporary is larger than one chunk and a
-    block as ``verify`` reads it is summed in one piece."""
-    from .io import verify_block_rows
+    """``|arr|_F^2`` summed over ``_chunks(arr)``."""
     from .linalg import frob_sq
 
-    step = verify_block_rows(arr.shape[1])
-    return sum((frob_sq(arr[i:i + step]) for i in range(0, arr.shape[0], step)), 0.0)
+    return sum(map(frob_sq, _chunks(arr)), 0.0)
 
 
 def _stream_gram(
@@ -135,9 +141,9 @@ def _stream_gram(
     array that this function owns and grows in place, and ``held`` is a
     one-item list of it with ``gram`` None. A block is copied once and never
     changed, so an array argument is left as it was. When one more row
-    arrives the array is folded, a block at a time in stream order, into
-    ``gram = A^T A`` and dropped, and every later block is folded as it
-    comes; ``held`` is then None.
+    arrives the array is folded into ``gram = A^T A`` in stream order, over
+    ``_chunks`` (for the CLI, the very blocks it read), and dropped, and
+    every later block is folded as it comes; ``held`` is then None.
 
     A stream whose ``|A|_F^2`` overflows float64 breaks the sketch's ingest
     rule and raises its ``ValueError``; every entry of ``A^T A`` is at most
@@ -149,7 +155,6 @@ def _stream_gram(
 
     # a sketch wider than d (hold < 0) holds no rows
     rows, gram = (np.empty((0, d)), None) if hold >= 0 else (None, np.zeros((d, d)))
-    cuts = [0]
     fa = 0.0
     n = 0
     for block in blocks:
@@ -170,12 +175,11 @@ def _stream_gram(
             if n <= hold:
                 # no view of rows outlives a statement, so it may move
                 rows.resize((n, d), refcheck=False)
-                rows[cuts[-1]:] = arr
-                cuts.append(n)
+                rows[n - arr.shape[0]:] = arr
                 continue
             gram = np.zeros((d, d))
-            for i, j in zip(cuts, cuts[1:]):
-                gram += rows[i:j].T @ rows[i:j]
+            for chunk in _chunks(rows):
+                gram += chunk.T @ chunk
             rows = None
         gram += arr.T @ arr
     return (None if rows is None else [rows]), gram, fa, n
@@ -291,11 +295,12 @@ def error_report(a, sketch: FdSketch) -> ErrorReport:
       rows, so every cut of the stream into blocks gives the same report.
       Memory is one copy of the rows, plus O(64 d) for the QR and two
       (n + ell)^2 arrays for the spectra.
-    - Gram route, from the first row past d - ell. The held blocks are folded
-      into G in stream order, each later block as it arrives, and the
-      spectra are two d x d eigensolves, of G and of ``G - Q^T Q``. Memory is
-      O(d^2) plus one block and its squares; ``verify`` reads blocks of
-      ``io.verify_block_rows(d)`` rows, at most 128 and at most 1 MiB.
+    - Gram route, from the first row past d - ell. The held rows are folded
+      into G in stream order, in the fixed chunks their mass was summed
+      over, each later block as it arrives, and the spectra are two d x d
+      eigensolves, of G and of ``G - Q^T Q``. Memory is O(d^2) plus one block
+      and its squares; every command reads blocks of ``io.block_rows_for(d)``
+      rows, at most 128 and at most 1 MiB.
 
     Both residuals are clamped at 0. Each is |A|_F^2 minus a sum of
     eigenvalues or squared projections, so its absolute error is that of the

@@ -29,7 +29,6 @@ trace ``main`` in-process, as ``perfbench/spans.py`` does, not
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -94,11 +93,14 @@ def _cmd_sketch(args) -> int:
         params = FdParams.create(args.k, args.eps, stream.d or 1, args.c)
         blocks = stream.blocks(params.buffer_rows)
         # read a block before the width sizes the buffer, so a bogus width
-        # over a short body fails as malformed input, not as an allocation
-        first = list(itertools.islice(blocks, 1))
+        # over a short body fails as malformed input, not as an allocation;
+        # each block is dropped before the next is read
+        block = next(blocks, None)
         sk = FdSketch._from_state(params)
-        for block in itertools.chain(first, blocks):
+        while block is not None:
             sk.extend(block)
+            del block
+            block = next(blocks, None)
     fio.save_sketch(args.out, sk)
     geometry = ("k", "eps", "ell", "buffer_rows", "d")
     _emit(_sketch_payload("sketch", args.out, sk, geometry), args.json)
@@ -123,7 +125,7 @@ def _cmd_verify(args) -> int:
     with fio.RowReader(args.input) as rows:
         # before error_report holds rows or allocates its d x d accumulator
         rows.check_width(sk.d)
-        report = error_report(rows.blocks(fio.verify_block_rows(sk.d)), sk)
+        report = error_report(rows.blocks(), sk)
     if rows.rows_read != sk.rows_seen:
         print(
             f"warning: stream has {rows.rows_read} rows but the sketch "
@@ -194,17 +196,10 @@ def _cmd_hh(args) -> int:
         ],
     }
     if exact is not None:
-        cert = error_certificate(summary, exact, args.k)
-        payload["certificate"] = {
-            "k": cert.k,
-            "decrements": cert.decrements,
-            "top_k_mass": cert.top_k_mass,
-            "top_k_mass_est": cert.top_k_mass_est,
-            "residual_mass": cert.residual_mass,
-            "max_item_gap": cert.max_item_gap,
-            "decrement_bound_ok": cert.decrement_bound_ok,
-            "topk_mass_bound_ok": cert.topk_mass_bound_ok,
-        }
+        cert = error_certificate(summary, exact, args.k)._asdict()
+        # the report's own "ell" and "n" already say these
+        del cert["n"], cert["capacity"]
+        payload["certificate"] = cert
     _emit(payload, args.json)
     return 0
 

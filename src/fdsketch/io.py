@@ -5,8 +5,10 @@ Row streams
     written with shortest-round-trip repr so CSV and binary carry identical
     bits. Binary: magic ``FDRW``, then d as u64 little-endian, then float64
     little-endian values row-major. ``RowReader`` opens its path once and
-    reads it once, row by row or in blocks (of at most ``BLOCK_BYTES`` unless
-    a row count is asked for), and knows d before the first row. The format
+    reads it once, row by row or in blocks, and knows d before the first row.
+    Every command reads blocks of at most ``block_rows_for(d)`` rows, the one
+    block rule: at most ``BLOCK_ROWS`` rows and ``BLOCK_BYTES`` (one row, if a
+    row is wider); a caller may ask for fewer, never for more. The format
     is the stream's own: ``peek`` shows the first byte without consuming it,
     ``F`` (the magic's, and no CSV row's) means binary, and any other byte or
     an empty stream means CSV, decoded by a text layer over the same handle.
@@ -92,11 +94,11 @@ class SketchFormatError(ValueError):
 # and a binary stream is read in pieces of at most this many.
 BLOCK_BYTES = 1 << 20
 
-# ``verify`` reads blocks of at most this many rows (and at most
-# ``BLOCK_BYTES``): each is one BLAS-3 update of the d x d Gram matrix, as
-# large as a 1 MiB block at d = 1000, while at small d the block and its
-# squares stay near the size of the sketch's own buffers.
-VERIFY_BLOCK_ROWS = 128
+# A block holds at most this many rows: in ``verify`` each block is one BLAS-3
+# update of the d x d Gram matrix, as large as a 1 MiB block at d = 1000,
+# while at small d the block and its squares stay near the size of the
+# sketch's own buffers.
+BLOCK_ROWS = 128
 
 
 # A CSV stream is read in chunks of whole lines of about this many characters.
@@ -107,15 +109,9 @@ _LOADTXT_ONLY = "\x1c\x1d\x1e\x1f"
 
 
 def block_rows_for(d: int) -> int:
-    """Rows in one block of a d-column stream: as many as fit in
-    ``BLOCK_BYTES``, and at least one."""
-    return max(1, BLOCK_BYTES // (8 * d))
-
-
-def verify_block_rows(d: int) -> int:
-    """Rows in one block of a d-column stream as ``verify`` reads it:
-    ``block_rows_for(d)``, capped at ``VERIFY_BLOCK_ROWS``."""
-    return min(VERIFY_BLOCK_ROWS, block_rows_for(d))
+    """Rows in one block of a d-column stream, the one block rule: at most
+    ``BLOCK_ROWS``, as many as fit in ``BLOCK_BYTES``, and at least one."""
+    return max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 * d)))
 
 
 def _read_upto(fh, nbytes: int) -> bytearray:
@@ -242,13 +238,13 @@ class RowReader:
     ``d`` comes from the header of a binary stream and from the first
     nonblank line of a CSV; an empty CSV has ``d = None``. Iterating yields
     the rows one at a time; ``blocks()`` yields them as (rows, d) float64
-    arrays of ``block_rows_for(d)`` rows, or of a given count (fewer in the
-    last one). Every array handed out is fresh, never a view of a buffer the
-    reader reuses, so callers may keep them. ``rows_read`` counts the rows
-    handed out so far. Malformed data raises ``RowStreamError`` with the
-    1-based line (CSV) or row (binary) number; the header of a binary stream
-    is line 0. The rows before the first bad one are handed out first, in
-    full blocks. The file is closed once the stream is exhausted, or by
+    arrays of ``block_rows_for(d)`` rows, or of a smaller given count (fewer
+    in the last one). Every array handed out is fresh, never a view of a
+    buffer the reader reuses, so callers may keep them. ``rows_read`` counts
+    the rows handed out so far. Malformed data raises ``RowStreamError`` with
+    the 1-based line (CSV) or row (binary) number; the header of a binary
+    stream is line 0. The rows before the first bad one are handed out first,
+    in full blocks. The file is closed once the stream is exhausted, or by
     ``close()``.
 
     A CSV stream is parsed a chunk of lines at a time by ``np.loadtxt``; a
@@ -317,11 +313,12 @@ class RowReader:
             )
 
     def blocks(self, rows: Optional[int] = None) -> Iterator[np.ndarray]:
-        """The remaining rows in blocks of ``rows`` rows, by default
-        ``block_rows_for(d)``."""
+        """The remaining rows in blocks of ``block_rows_for(d)`` rows, or of
+        ``rows`` if that is fewer: a caller can lower the rule, never raise it."""
         if self.d is None:
             return iter(())
-        return self._blocks(rows or block_rows_for(self.d))
+        size = block_rows_for(self.d)
+        return self._blocks(min(rows, size) if rows else size)
 
     def __iter__(self) -> "RowReader":
         return self

@@ -150,19 +150,25 @@ def test_reader_knows_its_width_before_the_first_row(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["csv", "binary"])
 def test_reader_blocks_are_fresh_and_sized(tmp_path, fmt):
+    # the one block rule: at most BLOCK_ROWS rows and BLOCK_BYTES, at least a
+    # row; a caller's row count can lower it and never raise it
+    assert fio.block_rows_for(2000) == fio.BLOCK_BYTES // (8 * 2000) < fio.BLOCK_ROWS
+    assert fio.block_rows_for(2**20) == 1
     d = 300
     size = fio.block_rows_for(d)
-    assert size == fio.BLOCK_BYTES // (8 * d)
+    assert size == fio.BLOCK_ROWS
     rows = np.random.default_rng(20).normal(size=(2 * size + 3, d))
     path = str(tmp_path / f"rows.{fmt}")
     write_rows(path, rows, fmt)
-    with fio.RowReader(path) as stream:
-        blocks = list(stream.blocks())
-        assert stream.rows_read == rows.shape[0]
-    assert [len(b) for b in blocks] == [size, size, 3]
-    assert np.concatenate(blocks).tobytes() == rows.tobytes()
-    assert not np.shares_memory(blocks[0], blocks[1])
-    assert all(b.flags.writeable for b in blocks)
+    for asked, sizes in ((None, [size, size, 3]), (10 * size, [size, size, 3]),
+                         (100, [100, 100, 59])):
+        with fio.RowReader(path) as stream:
+            blocks = list(stream.blocks(asked))
+            assert stream.rows_read == rows.shape[0]
+        assert [len(b) for b in blocks] == sizes
+        assert np.concatenate(blocks).tobytes() == rows.tobytes()
+        assert not np.shares_memory(blocks[0], blocks[1])
+        assert all(b.flags.writeable for b in blocks)
 
 
 def test_csv_reports_the_first_bad_line_of_a_block(tmp_path):
@@ -440,7 +446,9 @@ _PEAK_RSS_SCRIPT = """
 import sys
 import numpy as np
 from fdsketch import bounds, cli, io, linalg, sketch
-if sys.argv[1] == "load":
+if sys.argv[1] == "idle":
+    rc = 0
+elif sys.argv[1] == "load":
     rows = np.fromfile(sys.argv[2], dtype="<f8", offset=12)
     rc = 0
 else:
@@ -499,6 +507,27 @@ def test_cli_verify_gram_route_peaks_near_sketch(tmp_path):
     assert verify - sketch <= 1024
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+@pytest.mark.parametrize("fmt, longer", [("binary", 1200), ("csv", 600)])
+def test_cli_sketch_holds_its_buffer_and_one_bounded_block(tmp_path, fmt, longer):
+    # k 50, eps 0.5, c 2 at d = 4096: a buffer of m = 300 rows (9.4 MiB),
+    # read in blocks of 32 rows (1 MiB). sketch holds the buffer, its
+    # compression's work and one block, so a longer stream does not raise
+    # the peak, and the peak stays within 3 buffers of a process that only
+    # imports fdsketch
+    d, m = 4096, 300
+    rng = np.random.default_rng(50)
+    peaks = []
+    for n in (300, longer):
+        stream = str(tmp_path / f"rows{n}.{fmt}")
+        write_rows(stream, rng.normal(size=(n, d)), fmt)
+        peaks.append(_peak_kib("sketch", "--input", stream, "--k", "50", "--eps", "0.5",
+                               "--c", "2", "--out", str(tmp_path / "s.fdsk")))
+    idle = _peak_kib("idle")
+    assert abs(peaks[1] - peaks[0]) <= 2 * 1024
+    assert (peaks[1] - idle) * 1024 <= 3 * m * d * 8
+
+
 def test_cli_payload_keys_and_order(tmp_path, capsys):
     rng = np.random.default_rng(10)
     rows = rng.normal(size=(20, 4))
@@ -530,6 +559,16 @@ def test_cli_payload_keys_and_order(tmp_path, capsys):
         "qk_norm_bounds", "topk_window_applicable",
     ]
     assert len(payload["report"]["qk_norm_bounds"]) == 2
+    items = tmp_path / "items.txt"
+    items.write_text("1\n2\n1\n")
+    rc, text, _ = _run(capsys, "hh", "--input", str(items), "--k", "1", "--eps", "0.5")
+    assert rc == 0
+    payload = json.loads(text)
+    assert list(payload) == ["command", "ell", "n", "decrements", "items", "certificate"]
+    assert list(payload["certificate"]) == [
+        "k", "decrements", "top_k_mass", "top_k_mass_est", "residual_mass",
+        "max_item_gap", "decrement_bound_ok", "topk_mass_bound_ok",
+    ]
 
 
 def test_cli_binary_header_with_huge_dimension_exits_two(tmp_path, capsys):
@@ -621,9 +660,9 @@ def test_cli_verify_writes_strict_json_for_an_infinite_ratio(tmp_path, capsys):
 
 
 def _check_verify_at_block_boundaries(tmp_path, capsys, d, fmt, offset):
-    # verify reads blocks of VERIFY_BLOCK_ROWS rows at d = 100 and d = 1000
-    size = fio.verify_block_rows(d)
-    assert size == fio.VERIFY_BLOCK_ROWS
+    # verify reads blocks of BLOCK_ROWS rows at d = 100 and d = 1000
+    size = fio.block_rows_for(d)
+    assert size == fio.BLOCK_ROWS
     n = 2 * size + offset
     rows = np.random.default_rng(21).normal(size=(n, d)) * np.logspace(0, -3, d)
     stream = str(tmp_path / f"rows.{fmt}")
@@ -637,7 +676,7 @@ def _check_verify_at_block_boundaries(tmp_path, capsys, d, fmt, offset):
     blocked = error_report((rows[i:i + size] for i in range(0, n, size)), sk)
     one = error_report(rows, sk)
     with fio.RowReader(stream) as reader:
-        streamed = error_report(reader.blocks(size), sk)
+        streamed = error_report(reader.blocks(), sk)
         assert reader.rows_read == n
     assert streamed == blocked
     tol = 1e-12 * one.frob_a_sq

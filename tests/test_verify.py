@@ -129,6 +129,30 @@ def test_trial_flags_an_unbooked_shrink_mid_stream(monkeypatch):
     assert not out.bounds["lemma4_identity"] and not out.passed
 
 
+def test_trial_fails_a_shrink_total_that_decreases(monkeypatch):
+    # the fifth shrinking compression takes its delta and 3% more of Delta
+    # back out of delta_sum. At c = 2 the window [ell, m] * Delta still holds
+    # the lost mass; only Delta's fall shows it. Compressions come every
+    # m - ell = 15 rows, so no other one falls between two checks with it
+    compress = FdSketch.compress
+    shrinks = []
+
+    def take_back(sk):
+        delta = compress(sk)
+        if delta > 0.0:
+            shrinks.append(delta)
+            if len(shrinks) == 5:
+                sk._counters.delta_sum.add(-delta - 0.03 * sk.delta_sum)
+        return delta
+
+    monkeypatch.setattr(FdSketch, "compress", take_back)
+    out = run_trial(TrialConfig(n=300, d=40, k=5, eps=0.5, c=2.0, seed=2))
+    assert len(shrinks) > 5
+    assert out.worst_identity_residual <= 1e-15
+    assert not out.delta_monotone
+    assert not out.bounds["lemma4_identity"] and not out.passed
+
+
 @pytest.mark.parametrize("dist", DISTRIBUTIONS)
 def test_trial_passes_every_distribution(dist):
     out = run_trial(
