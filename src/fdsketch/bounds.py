@@ -113,6 +113,13 @@ class ErrorReport(NamedTuple):
         return all(self.bounds().values())
 
 
+def _lost_mass_outside(lost: float, delta: float, ell: int, m: int) -> float:
+    """How far the lost mass ``|A|_F^2 - |Q|_F^2`` lies outside the window
+    ``[ell, m] * Delta`` of a sketch with m buffer rows and shrink total
+    Delta: 0.0 inside, and at ``m == ell`` the identity's residual."""
+    return max(ell * delta - lost, lost - m * delta, 0.0)
+
+
 def _chunks(arr: np.ndarray) -> Iterator[np.ndarray]:
     """``arr`` in fixed chunks of ``io.block_rows_for(d)`` rows, the blocks
     ``io.RowReader`` reads, so no temporary is larger than one block and a
@@ -350,10 +357,9 @@ def error_report(a, sketch: FdSketch) -> ErrorReport:
     # the snapshot's arrays are made before the stream is read, so none sits
     # above the held rows in the heap when they grow or are freed
     snap = sketch.copy()
-    snap.flush()
-    q = snap.query()
-    qk = snap.query_topk()
     p = snap.params
+    q = snap.query()
+    qk = q[: p.k]
     basis = rowspace_basis(qk)
 
     held, gram, fa, n = _stream_gram(a if isinstance(a, Iterator) else (a,), d, d - p.ell)
@@ -388,12 +394,7 @@ def error_report(a, sketch: FdSketch) -> ErrorReport:
         ratio = proj_residual_sq / rank_k_residual_sq
 
     identity_residual = abs(fa - fq - p.ell * delta)
-    # the lost mass lies in [ell, m] * delta; at m == ell this is the
-    # identity, with the same float operations as its residual
-    lost = fa - fq
-    mass_window_ok = (
-        -identity_tol <= lost - p.ell * delta and lost - p.buffer_rows * delta <= identity_tol
-    )
+    outside = _lost_mass_outside(fa - fq, delta, p.ell, p.buffer_rows)
 
     applicable = rank_k_residual_sq <= rank_k_mass_sq
 
@@ -417,7 +418,7 @@ def error_report(a, sketch: FdSketch) -> ErrorReport:
         qk_norm_bounds=((1.0 - p.eps) * rank_k_mass_sq, rank_k_mass_sq),
         gap_upper_ok=max_gap <= fa / p.ell + slack,
         gap_lower_ok=min_gap >= -slack,
-        mass_window_ok=mass_window_ok,
+        mass_window_ok=outside <= identity_tol,
         shrink_budget_ok=delta <= rank_k_residual_sq / (p.ell - p.k) + slack,
         proj_ratio_ok=proj_residual_sq <= (1.0 + p.eps) * rank_k_residual_sq + slack,
         sandwich_low_ok=rank_k_residual_sq <= fa - fqk + slack,

@@ -26,9 +26,13 @@ Row streams
     With two or more usable CPUs, a CSV stream that is a regular file with a
     second data chunk (chunks count from the one that holds the first row)
     is parsed on two processes, if the process runs one thread and has
-    ``os.fork``. A forked worker reopens the file, reads the same chunks, and
-    parses every other one; it sends each result down a pipe with the
-    chunk's line and character counts. The reader still reads every chunk.
+    ``os.fork``. The reader opens the path a second time and forks a worker
+    only if that handle is the reader's own file (the same device and
+    inode), so a file moved over the path after the reader opened it is
+    never read. The worker reads that handle from the start in the same
+    chunks and parses every other one; it sends each result down a pipe
+    with the chunk's line and character counts. The reader still reads
+    every chunk.
     It takes a worker result only when the counts are those of its own
     read, and parses the chunk itself otherwise (a short read, a dead
     worker), so the values, blocks and errors are those of one process. A
@@ -197,14 +201,15 @@ def _parse_lines(path: str, lines: list, first: int, d: int):
 _WORKER_RESULT = struct.Struct("=5Q")
 
 
-def _csv_worker(path: str, lines_before: int, d: int, out) -> None:
-    """The forked worker: read ``path`` in the reader's chunks and parse
-    data chunks 1, 3, 5, ..., where data chunk 0 starts after line
-    ``lines_before``. Write each result to ``out`` and stop after one that
-    holds an error. A full pipe blocks the write, so the worker runs ahead of
-    the reader by at most what the pipe buffers, and itself holds one chunk
-    of text and one parsed chunk."""
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+def _csv_worker(fd: int, path: str, lines_before: int, d: int, out) -> None:
+    """The forked worker: read the file open at descriptor ``fd``, from its
+    start, in the reader's chunks and parse data chunks 1, 3, 5, ..., where
+    data chunk 0 starts after line ``lines_before``; ``path`` names it in
+    errors. Write each result to ``out`` and stop after one that holds an
+    error. A full pipe blocks the write, so the worker runs ahead of the
+    reader by at most what the pipe buffers, and itself holds one chunk of
+    text and one parsed chunk."""
+    with open(fd, "r", encoding="ascii", errors="surrogateescape") as fh:
         done = 0
         while done < lines_before:
             lines = fh.readlines(_CSV_CHUNK_CHARS)
@@ -389,36 +394,50 @@ class RowReader:
 
     def _start_worker(self) -> None:
         """Read the second data chunk ahead; if there is one and the stream
-        is a regular file, fork a worker on a second CPU."""
+        is a regular file, fork a worker on a second CPU. The worker reads
+        a second handle, opened here from the path and kept only if it is
+        the reader's own file (device and inode): a file moved over the path
+        since the reader opened it gets no worker."""
         second = self._fh.readlines(_CSV_CHUNK_CHARS)
         if not second:
             return
         self._ahead.append(second)
         threads = sys.modules.get("threading")
+        mine = os.fstat(self._fh.fileno())
         if not (hasattr(os, "fork") and _usable_cpus() >= 2
                 and (threads is None or threads.active_count() == 1)
-                and stat.S_ISREG(os.fstat(self._fh.fileno()).st_mode)):
+                and stat.S_ISREG(mine.st_mode)):
             return
-        rfd, wfd = os.pipe()
         try:
-            pid = os.fork()
+            fd = os.open(self.path, os.O_RDONLY)
         except OSError:
-            os.close(rfd)
-            os.close(wfd)
             return
-        if pid == 0:
-            code = 1
+        try:
+            theirs = os.fstat(fd)
+            if (theirs.st_dev, theirs.st_ino) != (mine.st_dev, mine.st_ino):
+                return
+            rfd, wfd = os.pipe()
             try:
+                pid = os.fork()
+            except OSError:
                 os.close(rfd)
-                # a collection would write to every inherited object's page
-                gc.disable()
-                with open(wfd, "wb") as out:
-                    _csv_worker(self.path, self._lines_done, self.d, out)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(wfd)
-        self._worker = (pid, open(rfd, "rb", buffering=0))
+                os.close(wfd)
+                return
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(rfd)
+                    # a collection would write to every inherited object's page
+                    gc.disable()
+                    with open(wfd, "wb") as out:
+                        _csv_worker(fd, self.path, self._lines_done, self.d, out)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(wfd)
+            self._worker = (pid, open(rfd, "rb", buffering=0))
+        finally:
+            os.close(fd)
 
     def _worker_result(self, lines: list):
         """The worker's (rows, error) for ``lines``, or None, and no worker

@@ -195,6 +195,17 @@ _DEFERRAL_CAP = 2**10
 CompressHook = Callable[[np.ndarray, np.ndarray, float], None]
 
 
+def _shrink(sq: np.ndarray, ell: int) -> tuple[float, np.ndarray]:
+    """``(delta, kept)`` for squared singular values ``sq``, descending:
+    the shrink rule of ``FdSketch.compress``, on either route."""
+    # delta comes from the same array, so the cut entry shrinks to exactly
+    # 0.0, which the slot bookkeeping relies on (a separate square can differ
+    # by one ulp); kept descends, so its zero entries come last
+    delta = float(sq[ell - 1]) if sq.size >= ell else 0.0
+    kept = np.maximum(sq[:ell] - delta, 0.0)
+    return delta, kept[: np.count_nonzero(kept)]
+
+
 class FdSketch:
     """Streaming sketch over rows of fixed dimension ``d``.
 
@@ -423,14 +434,19 @@ class FdSketch:
         buffer reaches full rank the shrink value stays 0 and the rewrite is
         a pure rotation.
 
-        Kernel. With ``B`` the m nonzero rows, ``r = min(ell, m)`` and
-        ``w, U`` the eigenpairs of the m x m Gram matrix ``G = B B^T``
-        (descending), the shrink is ``delta = w[ell-1]`` (0 if m < ell) and the
-        new rows are ``W B`` with ``W = (U[:, :r] diag(keep))^T`` and
-        ``keep = sqrt(max(w - delta, 0) / w)``. The rows of W whose keep is 0
-        are dropped, so their slots come out exactly zero. With several new
-        rows since the last compression (``batch_factor > 1``), ``W B`` is
-        one GEMM, O(r m d). No left factor of an SVD is ever formed.
+        Shrink rule (``_shrink``, for both routes). Of the buffer's squared
+        singular values ``sq``, descending, the shrink is ``delta = sq[ell-1]``
+        (0 if there are fewer) and the ``kept`` squares are the nonzero head
+        of ``max(sq[:ell] - delta, 0)``. The new rows, one per kept square,
+        are mutually orthogonal with Gram matrix ``diag(kept)``, and the
+        slots past them come out exactly zero.
+
+        Kernel. With ``B`` the m nonzero rows and ``w, U`` the eigenpairs of
+        the m x m Gram matrix ``G = B B^T`` (descending), ``sq = w`` and the
+        new rows are ``W B``, ``W = (U[:, :nz] diag(sqrt(kept / w[:nz])))^T``
+        with nz = ``kept.size``: with several new rows since the last
+        compression (``batch_factor > 1``) one GEMM, O(nz m d). No left
+        factor of an SVD is ever formed.
 
         Gram rule. A compression is a deferred step when exactly one row x
         arrived since the last one (``_pending == 1``), a deferral is running
@@ -444,10 +460,9 @@ class FdSketch:
         Deferred rotation. A deferral keeps the new rows as ``coef @ basis``,
         Brand's incremental-SVD device: it starts with ``coef = W`` over the m
         buffer rows, and each step appends x to the basis and sets
-        ``coef <- [W[:, :p] coef | W[:, p:]]``, O(m^3). The rows a compression
-        writes are mutually orthogonal, with Gram matrix
-        ``diag(max(w[:r] - delta, 0))``; the sketch carries that diagonal, so
-        a step's G is it bordered by x's row ``(x basis^T) coef^T``, O(m d).
+        ``coef <- [W[:, :p] coef | W[:, p:]]``, O(m^3). The sketch carries the
+        kept rows' Gram diagonal, ``kept``, so a step's G is it bordered by
+        x's row ``(x basis^T) coef^T``, O(m d).
         A deferral takes at most L - 1 steps, so the basis (allocated on
         first use) has ``buffer_rows + L - 1`` rows and a step past them
         raises. Multiplying out is one O(m^2 d) GEMM, so with the full build a
@@ -484,13 +499,15 @@ class FdSketch:
         error.
 
         Fallback. The Gram route runs only when ``0 < m < d`` and
-        ``w[r-1] > m * 2^-40 * w[0]``, i.e. every eigenvalue it divides by
-        clears eigh's error by a factor 2^12. Otherwise (rank-deficient or
-        ill-conditioned buffers, buffers at least as tall as wide) the whole
-        buffer goes through LAPACK's thin SVD, whose small singular values
-        are accurate to about ``2^-52 * s_1``, where the Gram route's are
-        accurate only to about ``sqrt(m * 2^-52) * s_1`` because squaring B
-        squares its condition number. A rank-deficient stream then shrinks
+        ``w[min(ell, m) - 1] > m * 2^-40 * w[0]``, i.e. every eigenvalue it
+        divides by clears eigh's error by a factor 2^12. Otherwise
+        (rank-deficient or ill-conditioned buffers, buffers at least as tall
+        as wide) the whole buffer goes through LAPACK's thin SVD
+        ``U diag(s) V^T``, ``sq = s * s`` and the new rows are
+        ``sqrt(kept)[:, None] * V^T[:nz]``. Its small singular values are
+        accurate to about ``2^-52 * s_1``, where the Gram route's are accurate
+        only to about ``sqrt(m * 2^-52) * s_1`` because squaring B squares its
+        condition number. A rank-deficient stream then shrinks
         by round-off squared, not by round-off. After j failed Gram attempts
         in a row (j capped at 6), the next ``2^(j-1) - 1`` compressions go
         straight to LAPACK without building G; a success resets j. ``copy()``
@@ -515,28 +532,21 @@ class FdSketch:
             else:
                 self._gram_fails = 0
         if shrunk is not None:
-            delta, w_mat, new_sq = shrunk
-            nz = new_sq.size
+            delta, w_mat, kept = shrunk
             if one_row:
                 self._defer(w_mat, m)
             else:
                 # into a fresh array: a product whose output overlaps an
                 # operand takes numpy's slow path
-                self._rows[:nz] = w_mat @ self._rows[:m]
-            self._carried = new_sq
+                self._rows[: kept.size] = w_mat @ self._rows[:m]
         else:
             self._multiply_out()
             f = svd_thin(self._rows)
-            # square once and reuse: taking delta from the same array
-            # guarantees the cut entry shrinks to exactly 0.0, which the slot
-            # bookkeeping relies on (a separate square can differ by one ulp)
-            sq = f.s * f.s
-            ell = self.params.ell
-            delta = float(sq[ell - 1]) if sq.size >= ell else 0.0
-            scale = np.sqrt(np.maximum(sq - delta, 0.0))
-            np.multiply(scale[:, None], f.v.T, out=self._rows[: scale.size])
-            # zero scales come last, so the nonzero rows stay first
-            nz = int(np.count_nonzero(scale))
+            delta, kept = _shrink(f.s * f.s, self.params.ell)
+            np.multiply(np.sqrt(kept)[:, None], f.v.T[: kept.size], out=self._rows[: kept.size])
+        # a fallback's ``_carried`` is not read before the next full build
+        nz = kept.size
+        self._carried = kept
         self._rows[nz:m] = 0.0
         self._nonzero = nz
         self._pending = 0
@@ -579,22 +589,17 @@ class FdSketch:
         return gram
 
     def _gram_shrink(self, m: int) -> Optional[tuple[float, np.ndarray, np.ndarray]]:
-        """``(delta, W, max(w - delta, 0))`` by the Gram route, with W's
-        zero rows and their entries dropped, or None to fall back."""
+        """``(delta, W, kept)`` of ``_shrink`` by the Gram route, W without
+        its zero rows, or None to fall back."""
         ell = self.params.ell
         # eigh reads the lower triangle only
         w, u = np.linalg.eigh(self._buffer_gram(m), UPLO="L")
         w, u = w[::-1], u[:, ::-1]
-        r = min(ell, m)
-        if not w[r - 1] > m * 2.0**-40 * w[0]:
+        if not w[min(ell, m) - 1] > m * 2.0**-40 * w[0]:
             return None
-        # delta comes from the same array w, so entry ell-1 shrinks to 0.0
-        delta = float(w[ell - 1]) if m >= ell else 0.0
-        new_sq = np.maximum(w[:r] - delta, 0.0)
-        # w is descending, so the zero entries come last
-        nz = int(np.count_nonzero(new_sq))
-        keep = np.sqrt(new_sq[:nz] / w[:nz])
-        return delta, (u[:, :nz] * keep).T, new_sq[:nz]
+        delta, kept = _shrink(w, ell)
+        nz = kept.size
+        return delta, (u[:, :nz] * np.sqrt(kept / w[:nz])).T, kept
 
     def flush(self) -> None:
         """Compress any rows appended since the last compression."""

@@ -33,6 +33,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .bounds import _lost_mass_outside
 from .counterexamples import gen_adversary
 from .linalg import SvdError, frob_sq
 from .sketch import IDENTITY_REL_TOL, ErrorReport, FdSketch, error_report
@@ -151,7 +152,7 @@ def run_trial(cfg: TrialConfig) -> TrialOutcome:
             exact = math.fsum(norm_acc)
             lost = exact - frob_sq(sk._buf)
             delta = sk.delta_sum
-            resid = max(sk.ell * delta - lost, lost - sk.buffer_rows * delta, 0.0)
+            resid = _lost_mass_outside(lost, delta, sk.ell, sk.buffer_rows)
             rel = resid / exact if exact else resid
             worst_resid = max(worst_resid, rel)
             if resid > IDENTITY_REL_TOL * exact:
@@ -163,28 +164,18 @@ def run_trial(cfg: TrialConfig) -> TrialOutcome:
     try:
         report = error_report(rows, sk)
     except SvdError:
-        millis = (time.perf_counter() - start) * 1e3
-        return TrialOutcome(
-            config=cfg,
-            report=None,
-            bounds={},
-            passed=False,
-            inconclusive=True,
-            millis=millis,
-            worst_identity_residual=worst_resid,
-            delta_monotone=monotone,
-        )
-    bounds = report.bounds()
-    # the mid-stream window and Delta's growth count with the identity
-    bounds["lemma4_identity"] = bounds["lemma4_identity"] and identity_ok and monotone
-    millis = (time.perf_counter() - start) * 1e3
+        report, bounds = None, {}
+    else:
+        bounds = report.bounds()
+        # the mid-stream window and Delta's growth count with the identity
+        bounds["lemma4_identity"] = bounds["lemma4_identity"] and identity_ok and monotone
     return TrialOutcome(
         config=cfg,
         report=report,
         bounds=bounds,
-        passed=all(bounds.values()),
-        inconclusive=False,
-        millis=millis,
+        passed=report is not None and all(bounds.values()),
+        inconclusive=report is None,
+        millis=(time.perf_counter() - start) * 1e3,
         worst_identity_residual=worst_resid,
         delta_monotone=monotone,
     )

@@ -76,6 +76,11 @@ def test_incremental_pca_drops_the_tail_forever():
     assert_allclose(err, 99 * 25.0, rtol=1e-12)
 
 
+def test_incremental_pca_rejects_a_rank_below_one():
+    with pytest.raises(ValueError, match="k must be"):
+        incremental_pca([[1.0, 2.0]], 0)
+
+
 def test_truncation_versus_sketch_on_the_adversary():
     out = compare_on_adversary(k=1, d=2, n=100)
     assert_allclose(out["optimal_rank_k_err"], 100.0, rtol=1e-9)
@@ -159,6 +164,14 @@ def test_sparse_check_validation():
         sparse_fd_check(inst, [0.0] * 3, c=0.5, direction=np.ones(5))
     with pytest.raises(ValueError, match="nonzero"):
         sparse_fd_check(inst, [0.0] * 3, c=0.5, direction=np.zeros(6))
+
+
+def test_sparse_check_normalizes_its_direction():
+    inst = SparseFdInstance(ell=4, d=6)
+    e1 = np.zeros(6)
+    e1[0] = 3.0
+    assert sparse_fd_check(inst, [0.1, 0.2, 0.0], c=0.5, direction=e1) == sparse_fd_check(
+        inst, [0.1, 0.2, 0.0], c=0.5)
 
 
 def test_sparse_check_zero_update_at_threshold():

@@ -318,12 +318,21 @@ def test_consumer_exception_in_sketch(tmp_path, reader_on, monkeypatch, capsys, 
     assert reader_on == firsts[0 : cpus * len(reader_on) : cpus]
 
 
-@pytest.mark.parametrize("case", ["worker dies", "path replaced"])
+def _same_shape(path: str, seed: int) -> None:
+    """3000 x 7 values in [1, 2) at 18 digits: every line has one length."""
+    rows = np.random.default_rng(seed).uniform(1.0, 2.0, size=(3000, 7))
+    np.savetxt(path, rows, fmt="%.18e", delimiter=",")
+
+
+@pytest.mark.parametrize("case", ["worker dies", "path replaced", "path replaced, same shape"])
 def test_reader_parses_what_the_worker_does_not_send(tmp_path, reader_on, monkeypatch, case):
-    # a worker that dies, or that reads another file under the same path,
-    # sends no result whose counts match the reader's chunk; the reader
-    # parses that chunk and every later one itself
+    # a worker that dies sends no result whose counts match the reader's
+    # chunk, and a file moved over the path after the reader opened it gets
+    # no worker, even one whose lines have the counts of the reader's own;
+    # the reader parses itself every chunk the worker does not send
     path = _stream(tmp_path)
+    if case == "path replaced, same shape":
+        _same_shape(path, 5)
     expected = _outputs(LineCsvReader(path), 97, 2)
     firsts = _chunk_firsts(path)
     if case == "worker dies":
@@ -332,10 +341,36 @@ def test_reader_parses_what_the_worker_does_not_send(tmp_path, reader_on, monkey
 
         monkeypatch.setattr(fio, "_csv_worker", die)
     with RowReader(path) as reader:
-        if case == "path replaced":
-            # the reader holds the old file open; the worker opens the new one
+        if case.startswith("path replaced"):
+            # the reader holds the old file open; the path names the new one
             other = str(tmp_path / "other.csv")
-            write_rows(other, np.ones((3000, 7)), "csv")
+            if case == "path replaced":
+                write_rows(other, np.ones((3000, 7)), "csv")
+            else:
+                _same_shape(other, 6)
             os.replace(other, path)
         assert _outputs(reader, 97, 2) == expected
     assert reader_on == firsts
+
+
+def test_failed_fork_parses_every_chunk_and_leaks_no_descriptor(tmp_path, reader_on,
+                                                                monkeypatch):
+    path = _stream(tmp_path)
+    firsts = _chunk_firsts(path)
+
+    def fork():
+        raise OSError("no process left")
+
+    monkeypatch.setattr(os, "fork", fork)
+    before = len(os.listdir("/proc/self/fd"))
+    _read_both(path)
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert reader_on == firsts
+
+
+def test_usable_cpus_without_an_affinity_call(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert fio._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert fio._usable_cpus() == 1

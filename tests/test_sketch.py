@@ -42,6 +42,32 @@ def test_sketch_rows_stays_above_k():
         sketch_rows_for(1, -1.0)
 
 
+def test_sketch_rows_rejects_a_k_past_the_float_range():
+    # k / eps raises OverflowError before any ceiling is taken
+    with pytest.raises(ValueError, match="overflows"):
+        sketch_rows_for(10**400, 0.5)
+
+
+def test_shrink_rule_cuts_the_ell_th_square_to_exact_zero():
+    sq = np.array([9.0, 4.0, 4.0, 1.0, 0.0])
+    delta, kept = fsk._shrink(sq, 2)
+    assert (delta, kept.tolist()) == (4.0, [5.0])
+    delta, kept = fsk._shrink(sq, 4)
+    assert (delta, kept.tolist()) == (1.0, [8.0, 3.0, 3.0])
+    # fewer squares than ell: no shrink, and the zero squares are not kept
+    delta, kept = fsk._shrink(sq, 6)
+    assert (delta, kept.tolist()) == (0.0, [9.0, 4.0, 4.0, 1.0])
+
+
+def test_lost_mass_window():
+    outside = fbounds._lost_mass_outside
+    # ell = 2, m = 4, Delta = 1: the window is [2, 4]
+    assert [outside(lost, 1.0, 2, 4) for lost in (1.5, 2.0, 3.0, 4.0, 4.25)] == [
+        0.5, 0.0, 0.0, 0.0, 0.25]
+    # at m == ell, the identity's residual on either side
+    assert (outside(1.5, 1.0, 2, 2), outside(2.5, 1.0, 2, 2)) == (0.5, 0.5)
+
+
 def test_params_batched_buffer():
     p = FdParams.create(3, 0.3, d=20, batch_factor=2.0)
     assert (p.ell, p.buffer_rows) == (13, 26)
@@ -540,6 +566,13 @@ def test_report_on_empty_stream():
     rep = error_report(np.zeros((0, 3)), s)
     assert rep.rows_seen == 0
     assert rep.all_ok
+
+
+def test_report_on_an_empty_list_is_that_of_an_empty_stream():
+    # ``[]`` is one block without a width; it takes the sketch's
+    s = FdSketch(k=1, eps=0.5, d=3)
+    s.extend(np.eye(3))
+    assert error_report([], s) == error_report(iter([]), s)
 
 
 def test_report_rejects_wrong_width():
